@@ -463,7 +463,8 @@ type queryRequest struct {
 	// bounds the payload. For a streamed response ("stream": true) the
 	// limit instead STOPS PRODUCTION: once that many rows are written the
 	// upstream evaluation is cancelled, so unevaluated rows are never paid
-	// for and stats cover only the work performed.
+	// for and stats cover only the work performed. Either way "truncated"
+	// reports that the limit withheld a row; a negative limit is a 400.
 	Limit int `json:"limit"`
 	// Stream switches the response to chunked NDJSON: one
 	// {"row_id": ..., "row": [...]} object per result row, written and
@@ -604,10 +605,6 @@ func isExplainSQL(sql string) bool {
 	return len(fields) < 2 || !strings.EqualFold(fields[1], "ANALYZE")
 }
 
-// errAdmission marks a request whose deadline fired while queueing for an
-// execution slot (reported 408, distinct from mid-query 504 timeouts).
-var errAdmission = errors.New("admission wait timed out")
-
 // statusClientClosedRequest is nginx's conventional 499 for a client that
 // disconnected before the response; net/http has no constant for it.
 const statusClientClosedRequest = 499
@@ -658,95 +655,43 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	// The deadline covers admission waiting AND execution: a query that
-	// queues for its whole budget is answered 408 without ever running.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Tracing: requested per query, or forced server-wide by -trace-log.
-	var tr *obs.Trace
-	if req.Trace || s.traceLog != nil {
-		tr = obs.NewTrace()
-		ctx = obs.WithTrace(ctx, tr)
-	}
-
-	// The execution slot is held only while the engine runs — response
-	// encoding happens after release, so a slow-reading client cannot pin
-	// an admission slot past its query.
-	var started time.Time
-	var elapsed time.Duration
-	rows, err := func() (*predeval.Rows, error) {
-		s.waiting.Add(1)
-		select {
-		case s.sem <- struct{}{}:
-			s.waiting.Add(-1)
-		case <-ctx.Done():
-			s.waiting.Add(-1)
-			// Distinguish "deadline ran out while queueing" (admission
-			// pressure, 408) from "client hung up while queueing" (499).
-			if errors.Is(ctx.Err(), context.Canceled) {
-				return nil, ctx.Err()
+	// The response is encoded after execute returns, with the execution
+	// slot already released, so a slow-reading client cannot pin an
+	// admission slot past its query.
+	var rows *predeval.Rows
+	elapsed, tr, ok := s.execute(r.Context(), req,
+		func(ctx context.Context) (predeval.Stats, error) {
+			var err error
+			rows, err = s.db.QueryContextOptions(ctx, req.SQL,
+				predeval.QueryOptions{OnFailure: req.OnFailure, Analyze: req.Analyze})
+			if err != nil {
+				return predeval.Stats{}, err
 			}
-			return nil, errAdmission
-		}
-		defer func() { <-s.sem }()
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		started = time.Now()
-		defer func() { elapsed = time.Since(started) }()
-		return s.db.QueryContextOptions(ctx, req.SQL,
-			predeval.QueryOptions{OnFailure: req.OnFailure, Analyze: req.Analyze})
-	}()
-	if !started.IsZero() {
-		s.queryDur.Observe(elapsed.Seconds())
-	}
-	if tr != nil {
-		s.traceLog.log(req.SQL, tr.Spans())
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, errAdmission):
-			s.rejected.Add(1)
-			writeJSON(w, http.StatusRequestTimeout,
-				errorResponse{Error: "timed out waiting for an execution slot"})
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout,
-				errorResponse{Error: fmt.Sprintf("query exceeded its %v deadline", timeout)})
-		case errors.Is(err, context.Canceled):
-			// The client went away mid-query; nobody reads this response,
-			// but count it apart from genuine query errors.
-			s.disconnects.Add(1)
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: err.Error()})
-		default:
-			s.failed.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
-		}
+			return rows.Stats(), nil
+		},
+		func(status int, body errorResponse) { writeJSON(w, status, body) })
+	if !ok {
 		return
 	}
-
 	n := rows.Len()
 	shown := n
 	if req.Limit > 0 && req.Limit < n {
 		shown = req.Limit
 	}
+	// An EXPLAIN ANALYZE result set is plan lines and carries no row ids.
 	ids := rows.RowIDs()
 	if len(ids) > shown {
 		ids = ids[:shown]
 	}
+	st := rows.Stats()
 	out := queryResponse{
 		Columns:   rows.Columns(),
 		Rows:      make([][]string, 0, shown),
 		RowIDs:    ids,
 		RowCount:  n,
 		Truncated: shown < n,
+		Degraded:  st.Degraded,
+		Stats:     wireStats(st),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 		Plan:      rows.Plan(),
 	}
@@ -756,64 +701,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < shown; i++ {
 		out.Rows = append(out.Rows, rows.Row(i))
 	}
-	st := rows.Stats()
-	out.Degraded = st.Degraded
-	out.Stats = wireStats(st)
-	s.failedRows.Add(int64(st.FailedRows))
-	s.retries.Add(int64(st.Retries))
-	s.breakerTrips.Add(int64(st.BreakerTrips))
-	if st.Degraded {
-		s.degraded.Add(1)
-	}
-	s.served.Add(1)
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handleStreamQuery answers a "stream": true request with chunked NDJSON:
 // row lines are written and flushed as execution emits batches, so the
 // first rows reach the client while later rows are still being evaluated.
-// The admission slot is held for the whole stream — unlike the buffered
-// path, production and delivery are interleaved by design. Errors before
-// the first row use the normal status-code taxonomy; once rows are out the
-// status is already 200, so a failure becomes a final {"error": ...} line.
+// The rows are written from inside the query, so the admission slot is
+// held while they are — unlike the buffered response, production and
+// delivery are interleaved by design. Errors before the first row use the
+// normal status-code taxonomy; once rows are out the status is already
+// 200, so a failure becomes a final {"error": ...} line.
 func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req queryRequest) {
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	var tr *obs.Trace
-	if req.Trace || s.traceLog != nil {
-		tr = obs.NewTrace()
-		ctx = obs.WithTrace(ctx, tr)
-	}
-
-	s.waiting.Add(1)
-	select {
-	case s.sem <- struct{}{}:
-		s.waiting.Add(-1)
-	case <-ctx.Done():
-		s.waiting.Add(-1)
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.disconnects.Add(1)
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: ctx.Err().Error()})
-			return
-		}
-		s.rejected.Add(1)
-		writeJSON(w, http.StatusRequestTimeout,
-			errorResponse{Error: "timed out waiting for an execution slot"})
-		return
-	}
-	defer func() { <-s.sem }()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
 	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 	enc := json.NewEncoder(w)
 	headerSent := false
 	sendHeader := func() {
@@ -830,60 +735,127 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 				return err
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
 		return nil
 	}
-	started := time.Now()
-	res, err := s.db.QueryStream(ctx, req.SQL,
-		predeval.StreamOptions{OnFailure: req.OnFailure, Limit: req.Limit}, emit)
-	elapsed := time.Since(started)
-	s.queryDur.Observe(elapsed.Seconds())
-	if tr != nil {
-		s.traceLog.log(req.SQL, tr.Spans())
-	}
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Add(1)
-			status = http.StatusGatewayTimeout
-			err = fmt.Errorf("query exceeded its %v deadline", timeout)
-		case errors.Is(err, context.Canceled):
-			s.disconnects.Add(1)
-			status = statusClientClosedRequest
-		default:
-			s.failed.Add(1)
-		}
-		if !headerSent {
-			writeJSON(w, status, errorBody(err))
-			return
-		}
-		// Rows are already out on a 200; the error becomes the final line.
-		_ = enc.Encode(errorBody(err))
-		if flusher != nil {
-			flusher.Flush()
-		}
+	var res *predeval.StreamResult
+	elapsed, tr, ok := s.execute(r.Context(), req,
+		func(ctx context.Context) (predeval.Stats, error) {
+			var err error
+			res, err = s.db.QueryStream(ctx, req.SQL,
+				predeval.StreamOptions{OnFailure: req.OnFailure, Limit: req.Limit}, emit)
+			if err != nil {
+				return predeval.Stats{}, err
+			}
+			return res.Stats, nil
+		},
+		func(status int, body errorResponse) {
+			if !headerSent {
+				writeJSON(w, status, body)
+				return
+			}
+			// Rows are already out on a 200; the error becomes the final line.
+			_ = enc.Encode(body)
+			flush()
+		})
+	if !ok {
 		return
 	}
 	sendHeader() // a zero-row result still answers NDJSON
-	st := res.Stats
 	done := streamDone{
 		Done:      true,
 		Columns:   res.Columns,
 		RowCount:  res.RowCount,
 		Truncated: res.Truncated,
-		Degraded:  st.Degraded,
-		Stats:     wireStats(st),
+		Degraded:  res.Stats.Degraded,
+		Stats:     wireStats(res.Stats),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 	}
 	if req.Trace && tr != nil {
 		done.Trace = tr.Spans()
 	}
 	_ = enc.Encode(done)
-	if flusher != nil {
-		flusher.Flush()
+	flush()
+}
+
+// execute is the one query executor behind both POST /query response
+// modes. It rejects a negative limit, resolves the deadline (which covers
+// admission waiting AND execution), attaches the trace (requested per
+// query, or forced server-wide by -trace-log), waits for an execution
+// slot, and runs the query holding it. It then records the duration, the
+// trace log and the post-query counters. Every failure is answered
+// through fail: 400 for bad input or a query error, 408 when the deadline
+// ran out while queueing, 499 when the client went away, 504 when the
+// deadline expired mid-query. It returns the query's execution time and
+// trace, and false when fail was called.
+func (s *server) execute(ctx context.Context, req queryRequest,
+	run func(ctx context.Context) (predeval.Stats, error),
+	fail func(status int, body errorResponse),
+) (time.Duration, *obs.Trace, bool) {
+	if req.Limit < 0 {
+		fail(http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative limit %d", req.Limit)})
+		return 0, nil, false
+	}
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		if timeout > s.cfg.MaxTimeout {
+			timeout = s.cfg.MaxTimeout
+		}
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var tr *obs.Trace
+	if req.Trace || s.traceLog != nil {
+		tr = obs.NewTrace()
+		ctx = obs.WithTrace(ctx, tr)
+	}
+
+	s.waiting.Add(1)
+	select {
+	case s.sem <- struct{}{}:
+		s.waiting.Add(-1)
+	case <-ctx.Done():
+		s.waiting.Add(-1)
+		// Distinguish "client hung up while queueing" (499) from "deadline
+		// ran out while queueing" (admission pressure, 408).
+		if errors.Is(ctx.Err(), context.Canceled) {
+			s.disconnects.Add(1)
+			fail(statusClientClosedRequest, errorResponse{Error: ctx.Err().Error()})
+		} else {
+			s.rejected.Add(1)
+			fail(http.StatusRequestTimeout, errorResponse{Error: "timed out waiting for an execution slot"})
+		}
+		return 0, nil, false
+	}
+	started := time.Now()
+	st, err := func() (predeval.Stats, error) {
+		defer func() { <-s.sem }()
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
+		return run(ctx)
+	}()
+	elapsed := time.Since(started)
+	s.queryDur.Observe(elapsed.Seconds())
+	if tr != nil {
+		s.traceLog.log(req.SQL, tr.Spans())
+	}
+	if err != nil {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			s.timeouts.Add(1)
+			fail(http.StatusGatewayTimeout,
+				errorResponse{Error: fmt.Sprintf("query exceeded its %v deadline", timeout)})
+		case errors.Is(err, context.Canceled):
+			// The client went away mid-query; nobody reads this response,
+			// but count it apart from genuine query errors.
+			s.disconnects.Add(1)
+			fail(statusClientClosedRequest, errorResponse{Error: err.Error()})
+		default:
+			s.failed.Add(1)
+			fail(http.StatusBadRequest, errorBody(err))
+		}
+		return elapsed, tr, false
 	}
 	s.failedRows.Add(int64(st.FailedRows))
 	s.retries.Add(int64(st.Retries))
@@ -892,6 +864,7 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 		s.degraded.Add(1)
 	}
 	s.served.Add(1)
+	return elapsed, tr, true
 }
 
 // tableColumn is one column of a GET /tables entry.

@@ -132,6 +132,12 @@ func TestServerBadRequests(t *testing.T) {
 	if status, _ := mustPostQuery(t, ts.URL, queryRequest{SQL: "SELECT * FROM missing WHERE good_credit(id) = 1"}); status != http.StatusBadRequest {
 		t.Fatalf("missing table: status %d", status)
 	}
+	for _, stream := range []bool{false, true} {
+		req := queryRequest{SQL: "SELECT * FROM loans WHERE good_credit(id) = 1", Limit: -1, Stream: stream}
+		if status, body := mustPostQuery(t, ts.URL, req); status != http.StatusBadRequest {
+			t.Fatalf("negative limit (stream=%v): status %d: %s", stream, status, body)
+		}
+	}
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)

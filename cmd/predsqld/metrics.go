@@ -60,7 +60,7 @@ func (s *server) registerMetrics() {
 			return float64(peak)
 		})
 	reg.Collect("predsqld_batches_total",
-		"Result batches emitted by the engine.", "counter",
+		"Result batches emitted by the engine, for buffered and streamed queries alike.", "counter",
 		func() []obs.Sample {
 			_, _, total := s.db.Engine().BatchCounters()
 			return []obs.Sample{{Value: float64(total)}}

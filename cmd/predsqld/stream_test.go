@@ -366,3 +366,48 @@ func TestServerStreamDeterminismMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestServerTruncatedAgreesAcrossModes pins that both response modes
+// report truncated only when the limit withheld a row: a limit equal to
+// the result size is not truncated, one below it is.
+func TestServerTruncatedAgreesAcrossModes(t *testing.T) {
+	const sql = "SELECT id FROM loans WHERE good_credit(id) = 1"
+	_, ts := streamTestServer(t, 300, 0, 0, nil)
+	buffered := func(limit int) queryResponse {
+		t.Helper()
+		status, body := mustPostQuery(t, ts.URL, queryRequest{SQL: sql, Limit: limit})
+		if status != http.StatusOK {
+			t.Fatalf("limit %d: status %d: %s", limit, status, body)
+		}
+		var out queryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	n := buffered(0).RowCount
+	for _, limit := range []int{n - 1, n, n + 1} {
+		want := limit < n
+		if out := buffered(limit); out.Truncated != want {
+			t.Errorf("buffered limit %d of %d rows: truncated=%v, want %v", limit, n, out.Truncated, want)
+		}
+		resp := postStream(t, ts.URL, queryRequest{SQL: sql, Stream: true, Limit: limit})
+		var done streamDone
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if bytes.Contains(sc.Bytes(), []byte(`"done":true`)) {
+				if err := json.Unmarshal(sc.Bytes(), &done); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !done.Done || done.Truncated != want || done.RowCount != min(limit, n) {
+			t.Errorf("streamed limit %d of %d rows: done=%+v, want truncated=%v row_count=%d",
+				limit, n, done, want, min(limit, n))
+		}
+	}
+}

@@ -114,14 +114,14 @@ func TestRunTwoPredicatesParallelCtxCancel(t *testing.T) {
 }
 
 func TestCtxVariantsMatchLegacyOnBackground(t *testing.T) {
-	// The Background-context wrappers must be bit-identical to the legacy
-	// entry points (same RNG consumption, same outputs).
+	// The uncancellable sequential form must be bit-identical to the Ctx
+	// form under a Background context (same RNG consumption, same outputs).
 	groups, udf := parallelTestGroups(3000)
 	s := NewStrategy(3)
 	s.R[0], s.E[0] = 1, 0.9
 	s.R[1], s.E[1] = 0.7, 0.4
 	s.R[2], s.E[2] = 0.2, 0.1
-	legacy, err := ExecuteParallel(groups, s, nil, udf, DefaultCost, stats.NewRNG(7), 4)
+	legacy, err := Execute(groups, s, nil, udf, DefaultCost, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +130,6 @@ func TestCtxVariantsMatchLegacyOnBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(legacy, ctxed) {
-		t.Fatal("ExecuteParallelCtx(Background) diverges from ExecuteParallel")
+		t.Fatal("ExecuteParallelCtx(Background) diverges from Execute")
 	}
 }

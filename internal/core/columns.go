@@ -98,24 +98,19 @@ type Labeler interface {
 // and returns the labels, for use with SelectColumn. The UDF calls are
 // charged to the provided meter (wrap the raw UDF first so the cost is
 // accounted once).
-func LabelFraction(rows []int, fraction float64, udf UDF, rng Labeler) map[int]bool {
-	return LabelFractionParallel(rows, fraction, udf, rng, 1)
-}
-
-// LabelFractionParallel is LabelFraction with the UDF calls fanned across
-// up to `parallelism` workers (≤ 0 means GOMAXPROCS). The sample is drawn
-// from the RNG before any evaluation starts, so the labeled set — and the
-// RNG stream seen by later phases — is identical at any parallelism level.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use LabelFractionParallelCtx
-func LabelFractionParallel(rows []int, fraction float64, udf UDF, rng Labeler, parallelism int) map[int]bool {
-	labeled, _ := LabelFractionParallelCtx(context.Background(), rows, fraction, udf, rng, parallelism)
+//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use LabelFractionParallelCtx
+func LabelFraction(rows []int, fraction float64, udf UDF, rng Labeler) map[int]bool {
+	labeled, _ := LabelFractionParallelCtx(context.Background(), rows, fraction, udf, rng, 1)
 	return labeled
 }
 
-// LabelFractionParallelCtx is LabelFractionParallel honoring a context: a
-// cancel mid-labeling returns (nil, ctx.Err()) without handing back a
-// partial label map. The RNG draw happens before evaluation either way.
+// LabelFractionParallelCtx is LabelFraction with the UDF calls fanned
+// across up to `parallelism` workers (≤ 0 means GOMAXPROCS), honoring a
+// context. The sample is drawn from the RNG before any evaluation starts,
+// so the labeled set — and the RNG stream seen by later phases — is
+// identical at any parallelism level. A cancel mid-labeling returns
+// (nil, ctx.Err()) without handing back a partial label map.
 func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, udf UDF, rng Labeler, parallelism int) (map[int]bool, error) {
 	k := int(math.Ceil(fraction * float64(len(rows))))
 	picks := rng.SampleWithoutReplacement(len(rows), k)

@@ -44,10 +44,12 @@ type ExecResult struct {
 }
 
 // Execute runs the strategy over the groups on the calling goroutine. It
-// is ExecuteParallel at parallelism 1, kept for the (many) sequential
-// callers in the experiment harness.
+// is ExecuteParallelCtx at parallelism 1 without cancellation, kept for
+// the (many) sequential callers in the experiment harness.
+//
+//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use ExecuteParallelCtx
 func Execute(groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG) (ExecResult, error) {
-	return ExecuteParallel(groups, s, samples, udf, cost, rng, 1)
+	return ExecuteParallelCtx(context.Background(), groups, s, samples, udf, cost, rng, 1)
 }
 
 // execSlot is one potential output position produced by the plan phase:
@@ -58,23 +60,16 @@ type execSlot struct {
 	evalIdx int
 }
 
-// ExecuteParallel runs the strategy over the groups, fanning UDF calls
+// ExecuteParallelCtx runs the strategy over the groups, fanning UDF calls
 // across up to `parallelism` workers (≤ 0 means GOMAXPROCS). samples may
 // be nil (no sampling phase) or hold one entry per group; sampled rows are
 // not re-retrieved or re-evaluated — their recorded outcome decides
 // membership. The RNG drives the per-tuple coins; all draws happen in the
 // sequential plan phase, so results are identical at every parallelism
-// level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteParallelCtx
-func ExecuteParallel(groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
-	return ExecuteParallelCtx(context.Background(), groups, s, samples, udf, cost, rng, parallelism)
-}
-
-// ExecuteParallelCtx is ExecuteParallel honoring a context. The plan phase
-// (coin flips) is cheap and always completes, so the RNG is consumed
-// identically whether or not the evaluate phase is cancelled; a cancel
-// during evaluation returns ctx.Err() and an empty result.
+// level. The plan phase (coin flips) is cheap and always completes, so the
+// RNG is consumed identically whether or not the evaluate phase is
+// cancelled; a cancel during evaluation returns ctx.Err() and an empty
+// result.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())

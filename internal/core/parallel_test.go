@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8, 64} {
-		par, err := ExecuteParallel(groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), p)
+		par, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,10 @@ func TestLabelFractionParallelMatchesSequential(t *testing.T) {
 		rows[i] = i
 	}
 	seq := LabelFraction(rows, 0.05, udf, stats.NewRNG(3))
-	par := LabelFractionParallel(rows, 0.05, udf, stats.NewRNG(3), 8)
+	par, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("labeled sets differ: %d vs %d rows", len(seq), len(par))
 	}
@@ -115,7 +119,7 @@ func TestTwoPredicatesParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, actsPar, err := RunTwoPredicatesParallel(groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5), 8)
+	par, actsPar, err := RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,23 +26,18 @@ type TwoPredSample struct {
 // each group and returns per-group samples plus TwoPredGroup estimates
 // (Beta-posterior means over the remaining tuples). Evaluations are
 // charged through the provided UDFs (wrap them in meters).
-func SampleTwoPredicates(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG) ([]TwoPredSample, []TwoPredGroup, error) {
-	return SampleTwoPredicatesParallel(groups, targets, udf1, udf2, rng, 1)
-}
-
-// SampleTwoPredicatesParallel is SampleTwoPredicates with both predicates'
-// evaluations fanned across up to `parallelism` workers. All sampled rows
-// are drawn from the RNG up front (sequentially), so the sampled sets and
-// estimates are identical at any parallelism level.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use SampleTwoPredicatesParallelCtx
-func SampleTwoPredicatesParallel(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG, parallelism int) ([]TwoPredSample, []TwoPredGroup, error) {
-	return SampleTwoPredicatesParallelCtx(context.Background(), groups, targets, udf1, udf2, rng, parallelism)
+//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use SampleTwoPredicatesParallelCtx
+func SampleTwoPredicates(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG) ([]TwoPredSample, []TwoPredGroup, error) {
+	return SampleTwoPredicatesParallelCtx(context.Background(), groups, targets, udf1, udf2, rng, 1)
 }
 
-// SampleTwoPredicatesParallelCtx is SampleTwoPredicatesParallel honoring a
-// context: the sample rows are drawn from the RNG up front either way, and
-// a cancel during evaluation returns ctx.Err() with no partial samples.
+// SampleTwoPredicatesParallelCtx is SampleTwoPredicates with both
+// predicates' evaluations fanned across up to `parallelism` workers,
+// honoring a context. All sampled rows are drawn from the RNG up front
+// (sequentially), so the sampled sets and estimates are identical at any
+// parallelism level; a cancel during evaluation returns ctx.Err() with no
+// partial samples.
 func SampleTwoPredicatesParallelCtx(ctx context.Context, groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG, parallelism int) ([]TwoPredSample, []TwoPredGroup, error) {
 	if len(targets) != len(groups) {
 		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
@@ -158,8 +153,10 @@ type TwoPredExecResult struct {
 //	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
 //	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
 //	                return iff both
+//
+//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use ExecuteTwoPredicatesParallelCtx
 func ExecuteTwoPredicates(groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel) (TwoPredExecResult, error) {
-	return ExecuteTwoPredicatesParallel(groups, acts, samples, udf1, udf2, cost, 1)
+	return ExecuteTwoPredicatesParallelCtx(context.Background(), groups, acts, samples, udf1, udf2, cost, 1)
 }
 
 // tpKind classifies what a two-predicate output slot still needs.
@@ -179,20 +176,13 @@ type tpSlot struct {
 	idx1, idx2 int
 }
 
-// ExecuteTwoPredicatesParallel is ExecuteTwoPredicates with the UDF calls
-// batched and fanned across up to `parallelism` workers. Evaluation runs in
-// waves — all needed f1 calls and unconditional f2 calls first, then f2 on
-// the f1 survivors of TPEvalBoth groups — so the sequential short-circuit
-// accounting (f2 is never charged for rows f1 rejected) is preserved
-// exactly, as are output order and all counters.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteTwoPredicatesParallelCtx
-func ExecuteTwoPredicatesParallel(groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
-	return ExecuteTwoPredicatesParallelCtx(context.Background(), groups, acts, samples, udf1, udf2, cost, parallelism)
-}
-
-// ExecuteTwoPredicatesParallelCtx is ExecuteTwoPredicatesParallel honoring
-// a context: a cancel in either evaluation wave returns ctx.Err() and an
+// ExecuteTwoPredicatesParallelCtx is ExecuteTwoPredicates with the UDF
+// calls batched and fanned across up to `parallelism` workers, honoring a
+// context. Evaluation runs in waves — all needed f1 calls and
+// unconditional f2 calls first, then f2 on the f1 survivors of TPEvalBoth
+// groups — so the sequential short-circuit accounting (f2 is never charged
+// for rows f1 rejected) is preserved exactly, as are output order and all
+// counters. A cancel in either evaluation wave returns ctx.Err() and an
 // empty result.
 func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
 	if len(acts) != len(groups) {
@@ -301,23 +291,18 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 // selectivities, plan with PlanTwoPredicates (constraints tightened by
 // Hoeffding margins so the expectation-level plan carries a probabilistic
 // guarantee), and execute. A tuple is correct iff both predicates hold.
-func RunTwoPredicates(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG) (TwoPredExecResult, []TwoPredAction, error) {
-	return RunTwoPredicatesParallel(groups, udf1, udf2, cons, cost, alloc, rng, 1)
-}
-
-// RunTwoPredicatesParallel is RunTwoPredicates with sampling and execution
-// fanned across up to `parallelism` workers; planning stays sequential and
-// results are identical at any parallelism level.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use RunTwoPredicatesParallelCtx
-func RunTwoPredicatesParallel(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
-	return RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, cost, alloc, rng, parallelism)
+//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use RunTwoPredicatesParallelCtx
+func RunTwoPredicates(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG) (TwoPredExecResult, []TwoPredAction, error) {
+	return RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, cost, alloc, rng, 1)
 }
 
-// RunTwoPredicatesParallelCtx is RunTwoPredicatesParallel honoring a
-// context: both the sampling wave and the execution waves check it, so a
-// cancel mid-pipeline returns ctx.Err() after at most one in-flight UDF
-// call per worker.
+// RunTwoPredicatesParallelCtx is RunTwoPredicates with sampling and
+// execution fanned across up to `parallelism` workers, honoring a context;
+// planning stays sequential and results are identical at any parallelism
+// level. Both the sampling wave and the execution waves check the context,
+// so a cancel mid-pipeline returns ctx.Err() after at most one in-flight
+// UDF call per worker.
 func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
 	if alloc == nil {
 		alloc = TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}

@@ -49,12 +49,12 @@ func analyzeEngine(t testing.TB, parallelism int) *Engine {
 // the result.
 func runAnalyzed(t testing.TB, e *Engine) (string, *Result) {
 	t.Helper()
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	res, root, err := collect(context.Background(), e, exactQuery(SkipFailed), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res == nil || root == nil {
-		t.Fatal("ExplainAnalyzeContext returned nil result or plan")
+		t.Fatal("analyzed run returned nil result or plan")
 	}
 	plan.ZeroTimings(root)
 	return plan.Format(root), res
@@ -105,7 +105,7 @@ func TestExplainAnalyzeCountsDeterministicAcrossParallelism(t *testing.T) {
 
 func TestExplainAnalyzeActualNodes(t *testing.T) {
 	e := analyzeEngine(t, 4)
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	res, root, err := collect(context.Background(), e, exactQuery(SkipFailed), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExplainAnalyzeActualNodes(t *testing.T) {
 
 	// Second query against the tripped breaker: denials recorded, and only
 	// for rows that could not resolve from the warm cache.
-	root2, res2, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	res2, root2, err := collect(context.Background(), e, exactQuery(SkipFailed), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestExplainAnalyzeApproxPipeline(t *testing.T) {
 		GroupOn: "grade",
 		Approx:  &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9},
 	}
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), q)
+	res, root, err := collect(context.Background(), e, q, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	e := analyzeEngine(t, 4)
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := e.ExecuteContext(ctx, exactQuery(SkipFailed)); err != nil {
+	if _, _, err := collect(ctx, e, exactQuery(SkipFailed), nil, false); err != nil {
 		t.Fatal(err)
 	}
 	names := make(map[string]bool)

@@ -315,16 +315,14 @@ type streamingOp interface {
 // at their batch slot, so output order matches the sequential scan exactly;
 // rows whose invocation failed carry verdict false and drop out.
 type exactEvalOp struct {
-	e       *Engine
-	st      *pipeState
-	node    *plan.Node
-	child   BatchOperator
-	collect bool // accumulate output rows for st.res (materialized path)
+	e     *Engine
+	st    *pipeState
+	node  *plan.Node
+	child BatchOperator
 
 	pool      *exec.Pool
 	pulled    int // rows pulled from the child (= retrievals so far)
 	emitted   int
-	out       []int
 	buf       []int
 	batch     Batch
 	opened    bool
@@ -375,9 +373,6 @@ func (o *exactEvalOp) Next(ctx context.Context) (*Batch, error) {
 		}
 		o.elapsedNS += int64(obs.Since(start))
 		sp.End()
-		if o.collect {
-			o.out = append(o.out, o.buf...)
-		}
 		o.emitted += len(o.buf)
 		if len(o.buf) == 0 {
 			continue // batch fully rejected; pull the next one
@@ -396,7 +391,6 @@ func (o *exactEvalOp) finalize() {
 	meter := st.preds[0].meter
 	n := o.pulled
 	st.res = &Result{
-		Rows: o.out,
 		Stats: Stats{
 			Evaluations: meter.Calls(),
 			Retrievals:  n,
@@ -435,18 +429,16 @@ func (o *exactEvalOp) Close() error { return o.child.Close() }
 // interact across batches, which is why batching leaves calls, survivors
 // and counters bit-identical (see core.ConjWaveRunner).
 type conjWavesOp struct {
-	e       *Engine
-	st      *pipeState
-	node    *plan.Node
-	mode    string
-	child   BatchOperator
-	collect bool
+	e     *Engine
+	st    *pipeState
+	node  *plan.Node
+	mode  string
+	child BatchOperator
 
 	runner      *core.ConjWaveRunner
 	sampledRows int
 	pulled      int
 	emitted     int
-	out         []int
 	batch       Batch
 	opened      bool
 	finalized   bool
@@ -503,11 +495,6 @@ func (o *conjWavesOp) Open(ctx context.Context) error {
 		return err
 	}
 	o.runner = runner
-	if o.collect {
-		// The legacy operator's Output was never nil (the survivor list is
-		// rebuilt each wave); keep Rows bit-identical.
-		o.out = make([]int, 0)
-	}
 	return nil
 }
 
@@ -531,9 +518,6 @@ func (o *conjWavesOp) Next(ctx context.Context) (*Batch, error) {
 		o.pulled += len(cb.Rows)
 		o.elapsedNS += int64(obs.Since(start))
 		sp.End()
-		if o.collect {
-			o.out = append(o.out, survivors...)
-		}
 		o.emitted += len(survivors)
 		if len(survivors) == 0 {
 			continue
@@ -579,7 +563,7 @@ func (o *conjWavesOp) finalize() {
 		stats.Retrievals = o.sampledRows + o.runner.Result().Retrieved
 	}
 	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
-	st.res = &Result{Rows: o.out, Stats: stats}
+	st.res = &Result{Stats: stats}
 	o.recordActual()
 }
 
@@ -612,10 +596,8 @@ type pipeline struct {
 }
 
 // buildPipeline compiles the physical plan chain (a linear single-child
-// tree) into a pull pipeline. collect makes the streaming terminal
-// accumulate its output rows into st.res (the materialized, sink-less
-// path).
-func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*pipeline, error) {
+// tree) into a pull pipeline.
+func (e *Engine) buildPipeline(root *plan.Node, st *pipeState) (*pipeline, error) {
 	var chain []*plan.Node
 	for n := root; n != nil; n = n.Child() {
 		if len(n.Children) > 1 {
@@ -651,10 +633,10 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 			// operator performs their work internally.
 			continue
 		case n.Op == plan.OpExactEval:
-			t := &exactEvalOp{e: e, st: st, node: n, child: cur, collect: collect}
+			t := &exactEvalOp{e: e, st: st, node: n, child: cur}
 			cur, p.stream = t, t
 		case n.Op == plan.OpConjWaves:
-			t := &conjWavesOp{e: e, st: st, node: n, mode: n.Mode, child: cur, collect: collect}
+			t := &conjWavesOp{e: e, st: st, node: n, mode: n.Mode, child: cur}
 			cur, p.stream = t, t
 		default:
 			body, err := e.stageBody(n, st)
@@ -720,32 +702,20 @@ func (p *pipeline) recordScanActuals() {
 	}
 }
 
-// runPipeline compiles and drives the batch pipeline for one statement.
-// With a nil sink the result is materialized into st.res exactly as the
-// legacy walker did (blocking chains never even pull their resultOp); with
-// a sink, result batches are delivered as produced and an ErrStopStream
-// from the sink cancels upstream work, leaving Stats covering the
-// evaluation actually performed.
+// runPipeline compiles and drives the batch pipeline for one statement:
+// result batches are delivered to the sink as produced, and an
+// ErrStopStream from the sink cancels upstream work, leaving Stats
+// covering the evaluation actually performed.
 func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
-	pipe, err := e.buildPipeline(root, st, sink == nil)
+	pipe, err := e.buildPipeline(root, st)
 	if err != nil {
 		return err
 	}
 	defer pipe.root.Close()
-	pctx := ctx
-	var cancel context.CancelFunc
-	if sink != nil {
-		pctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	if err := pipe.root.Open(pctx); err != nil {
 		return err
-	}
-	if sink == nil && pipe.stream == nil {
-		// Blocking chain, materialized query: the stages finished st.res
-		// during Open; pulling it through the resultOp would only copy it.
-		pipe.recordScanActuals()
-		return nil
 	}
 	for {
 		b, err := pipe.root.Next(pctx)
@@ -756,9 +726,7 @@ func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState
 			break
 		}
 		e.noteBatch(len(b.Rows))
-		if sink != nil {
-			err = sink(b.Rows)
-		}
+		err = sink(b.Rows)
 		e.batchDone()
 		if err != nil {
 			if errors.Is(err, ErrStopStream) {
@@ -806,43 +774,10 @@ func (e *Engine) BatchCounters() (inFlight, peakRows, total int64) {
 	return e.batchesInFlight.Load(), e.peakBatchRows.Load(), e.batchesTotal.Load()
 }
 
-// ExecuteStreamContext runs the query, delivering matching row ids to the
-// sink in deterministic batches as execution produces them. For streaming
-// shapes (exact selections and conjunction waves) the first batch arrives
-// while later batches are still unevaluated; blocking shapes (sampling
-// pipelines, the §5 two-predicate plan, joins) complete their evaluation
-// first and then stream the finished result out in batches. The returned
-// Stats cover the evaluation performed — after an ErrStopStream they
-// reflect only the batches actually pulled.
-func (e *Engine) ExecuteStreamContext(ctx context.Context, q Query, sink RowSink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, fmt.Errorf("engine: ExecuteStreamContext requires a sink")
-	}
-	res, _, err := e.executeStatement(ctx, q, nil, false, sink)
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
-}
-
-// ExecuteStreamSelectJoinContext is ExecuteStreamContext for the
-// selection-before-join extension.
-func (e *Engine) ExecuteStreamSelectJoinContext(ctx context.Context, q SelectJoinQuery, sink RowSink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, fmt.Errorf("engine: ExecuteStreamSelectJoinContext requires a sink")
-	}
-	res, _, err := e.executeStatement(ctx, q.Query, &q, false, sink)
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
-}
-
 // Renderer resolves the query's projection against its base table and
-// returns the projected column names plus a per-row cell renderer. The
-// rendering is identical to Materialize + CellString (both are the
-// column's canonical StringAt), which is what lets streaming consumers
-// format rows without materializing a result table.
+// returns the projected column names plus a per-row cell renderer: each
+// cell is the column's canonical StringAt, so rows are formatted without
+// materializing a result table.
 func (e *Engine) Renderer(q Query) ([]string, func(row int) []string, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {

@@ -103,7 +103,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 				// A fresh engine per run: the chaos attempt counters and the
 				// RNG must restart identically.
 				e, _ := newChaosEngine(t, 600, c.parallelism, c.batch)
-				res, err := e.Execute(q)
+				res, err := execute(e, q)
 				if err != nil {
 					t.Fatalf("p=%d batch=%d: %v", c.parallelism, c.batch, err)
 				}
@@ -132,13 +132,13 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 func TestStreamMatchesMaterialized(t *testing.T) {
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, OnFailure: SkipFailed}
 	e1, _ := newChaosEngine(t, 600, 4, 64)
-	want, err := e1.Execute(q)
+	want, err := execute(e1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := newChaosEngine(t, 600, 4, 64)
 	var got []int
-	stats, err := e2.ExecuteStreamContext(context.Background(), q, func(rows []int) error {
+	stats, _, err := e2.Run(context.Background(), q, nil, false, func(rows []int) error {
 		got = append(got, rows...)
 		return nil
 	})
@@ -163,7 +163,7 @@ func TestStreamEarlyStopCancelsUpstream(t *testing.T) {
 	e.Parallelism = 1
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
 	var got []int
-	stats, err := e.ExecuteStreamContext(context.Background(), q, func(rows []int) error {
+	stats, _, err := e.Run(context.Background(), q, nil, false, func(rows []int) error {
 		got = append(got, rows...)
 		return ErrStopStream
 	})
@@ -180,7 +180,7 @@ func TestStreamEarlyStopCancelsUpstream(t *testing.T) {
 		t.Fatalf("Stats.Evaluations = %d, want far fewer than the 2000-row table", stats.Evaluations)
 	}
 	// The engine (and its caches) must stay fully usable after a stop.
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStreamFirstBatchBeforeLastWave(t *testing.T) {
 	e.BatchSize = 8
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
 	var callsAtFirstBatch int64 = -1
-	_, err := e.ExecuteStreamContext(context.Background(), q, func(rows []int) error {
+	_, _, err := e.Run(context.Background(), q, nil, false, func(rows []int) error {
 		if callsAtFirstBatch < 0 {
 			callsAtFirstBatch = calls.Load()
 		}
@@ -220,8 +220,8 @@ func TestStreamFirstBatchBeforeLastWave(t *testing.T) {
 func TestBatchCountersAdvance(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
 	e.BatchSize = 64
-	_, err := e.ExecuteStreamContext(context.Background(),
-		Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
+	_, _, err := e.Run(context.Background(),
+		Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}, nil, false,
 		func([]int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +245,8 @@ func TestBatchSizeKnobHonored(t *testing.T) {
 		e, _, _ := newTestEngine(t, 300)
 		e.BatchSize = size
 		batches := 0
-		_, err := e.ExecuteStreamContext(context.Background(),
-			Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
+		_, _, err := e.Run(context.Background(),
+			Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}, nil, false,
 			func(rows []int) error {
 				batches++
 				if len(rows) == 0 || len(rows) > size {

@@ -22,12 +22,12 @@ func TestUDFPanicNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true}
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("first query with panicking UDF did not error")
 	}
 	// The retry must re-evaluate row 7 (not inherit the recovered false)
 	// and return the full correct result.
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestUDFPanicNotCached(t *testing.T) {
 func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 300)
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
-	if _, err := e.Execute(q); err != nil {
+	if _, err := execute(e, q); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 300 {
@@ -72,7 +72,7 @@ func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 func TestComplementaryWantSharesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 300)
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
-	pos, err := e.Execute(q)
+	pos, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Want = false
-	neg, err := e.Execute(q)
+	neg, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSameUDFConjunctionDeterministicStats(t *testing.T) {
 		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(Query{
+		res, err := execute(e, Query{
 			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
 			Conjuncts: []Conjunct{{UDFName: "f", UDFArg: "id", Want: true}},
 			Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
@@ -153,11 +153,11 @@ func TestSameUDFConjunctionDeterministicStats(t *testing.T) {
 func TestCachedSecondQueryFree(t *testing.T) {
 	e, _, calls := newTestEngine(t, 300)
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
-	first, err := e.Execute(q)
+	first, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Execute(q)
+	second, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}

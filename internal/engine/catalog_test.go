@@ -39,7 +39,7 @@ func approxQ() Query {
 func TestCatalogWarmRestartExact(t *testing.T) {
 	dir := t.TempDir()
 	e1, _, calls1 := catalogEngine(t, 600, dir)
-	res1, err := e1.Execute(exactQ())
+	res1, err := execute(e1, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCatalogWarmRestartExact(t *testing.T) {
 	}
 
 	e2, _, calls2 := catalogEngine(t, 600, dir)
-	res2, err := e2.Execute(exactQ())
+	res2, err := execute(e2, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestCatalogWarmRestartExact(t *testing.T) {
 func TestCatalogWarmRestartApprox(t *testing.T) {
 	dir := t.TempDir()
 	e1, _, _ := catalogEngine(t, 600, dir)
-	if _, err := e1.Execute(exactQ()); err != nil {
+	if _, err := execute(e1, exactQ()); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := e1.Execute(approxQ())
+	res1, err := execute(e1, approxQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCatalogWarmRestartApprox(t *testing.T) {
 	}
 
 	e2, _, calls2 := catalogEngine(t, 600, dir)
-	res2, err := e2.Execute(approxQ())
+	res2, err := execute(e2, approxQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCatalogWarmRestartApprox(t *testing.T) {
 func TestCatalogReRegisterInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	e1, truth, _ := catalogEngine(t, 300, dir)
-	res1, err := e1.Execute(exactQ())
+	res1, err := execute(e1, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCatalogReRegisterInvalidates(t *testing.T) {
 	if st := e1.Catalog().Stats(); st.OutcomeRows != 0 {
 		t.Fatalf("persisted verdicts survived re-registration: %+v", st)
 	}
-	res2, err := e1.Execute(exactQ())
+	res2, err := execute(e1, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCatalogReRegisterInvalidates(t *testing.T) {
 	}
 	defer c.Close()
 	e2.SetCatalog(c)
-	res3, err := e2.Execute(exactQ())
+	res3, err := execute(e2, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestCatalogReRegisterInvalidates(t *testing.T) {
 // cross-query cache.
 func TestCatalogCacheCountersColdRun(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
-	res1, err := e.Execute(exactQ())
+	res1, err := execute(e, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res1.Stats.CacheHits != 0 || res1.Stats.CacheMisses != 300 {
 		t.Fatalf("cold stats hits=%d misses=%d, want 0/300", res1.Stats.CacheHits, res1.Stats.CacheMisses)
 	}
-	res2, err := e.Execute(exactQ())
+	res2, err := execute(e, exactQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true, Approx: approx(0.8, 0.8, 0.8)}
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("faulting query succeeded")
 	}
 	if err := e.FlushCatalog(); err != nil {

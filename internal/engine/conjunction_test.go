@@ -62,7 +62,7 @@ func TestExecuteNaryConjunction(t *testing.T) {
 			e.Parallelism = par
 			registerModUDF(t, e, "div3", 3)
 			registerModUDF(t, e, "div5", 5)
-			res, err := e.Execute(naryQuery(true, groupOn))
+			res, err := execute(e, naryQuery(true, groupOn))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestExecuteNaryConjunctionExact(t *testing.T) {
 	e, truth, goodCalls := newTestEngine(t, n)
 	div3 := registerModUDF(t, e, "div3", 3)
 	div5 := registerModUDF(t, e, "div5", 5)
-	res, err := e.Execute(naryQuery(false, ""))
+	res, err := execute(e, naryQuery(false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExecuteNaryConjunctionDeterministic(t *testing.T) {
 		e.Parallelism = par
 		registerModUDF(t, e, "div3", 3)
 		registerModUDF(t, e, "div5", 5)
-		res, err := e.Execute(naryQuery(true, "grade"))
+		res, err := execute(e, naryQuery(true, "grade"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +173,13 @@ func TestNaryGreedyOrderingSaves(t *testing.T) {
 		},
 	}
 	exactQ := q
-	exact, err := newE().Execute(exactQ)
+	exact, err := execute(newE(), exactQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	greedyQ := q
 	greedyQ.Approx = approx(0.8, 0.8, 0.8)
-	greedy, err := newE().Execute(greedyQ)
+	greedy, err := execute(newE(), greedyQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,17 @@ func TestNaryConjunctionValidation(t *testing.T) {
 	registerModUDF(t, e, "div3", 3)
 	registerModUDF(t, e, "div5", 5)
 	q := naryQuery(true, VirtualColumn)
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("N-ary conjunction over the virtual column accepted")
 	}
 	q = naryQuery(true, "")
 	q.Budget = 50
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("budget + conjunction accepted")
 	}
 	q = naryQuery(true, "")
 	q.Conjuncts[1].UDFName = "missing"
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("unknown third UDF accepted")
 	}
 }
@@ -249,7 +249,7 @@ func TestExplainShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			text, err := e.Explain(tc.mut(base))
+			text, err := explain(e, tc.mut(base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestExplainShapes(t *testing.T) {
 			}
 		})
 	}
-	if _, err := e.Explain(Query{Table: "loans", UDFName: "missing", UDFArg: "id"}); err == nil {
+	if _, err := explain(e, Query{Table: "loans", UDFName: "missing", UDFArg: "id"}); err == nil {
 		t.Fatal("EXPLAIN of unknown UDF accepted")
 	}
 }
@@ -277,7 +277,7 @@ func containsLine(text, substr string) bool {
 // from the shared outcome cache instead of re-invoking the UDF.
 func TestSameUDFExactConjunctionSharesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 100)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	})
@@ -313,15 +313,15 @@ func TestExplainValidatesBindings(t *testing.T) {
 		Approx: approx(0.9, 0.9, 0.9), GroupOn: "grade"}
 	q := base
 	q.GroupOn = "nosuch"
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown GROUP ON column accepted")
 	}
 	sj := SelectJoinQuery{Query: base, JoinTable: "loans", LeftKey: "nosuch", RightKey: "id"}
-	if _, err := e.ExplainSelectJoin(sj); err == nil {
+	if _, err := explainJoin(e, sj); err == nil {
 		t.Fatal("EXPLAIN with unknown join key accepted")
 	}
 	sj = SelectJoinQuery{Query: base, JoinTable: "missing", LeftKey: "id", RightKey: "id"}
-	if _, err := e.ExplainSelectJoin(sj); err == nil {
+	if _, err := explainJoin(e, sj); err == nil {
 		t.Fatal("EXPLAIN with unknown join table accepted")
 	}
 }
@@ -344,7 +344,7 @@ func TestNaryConjunctionPerPredicateCost(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{
 			{UDFName: "cheap", UDFArg: "id", Want: true},
@@ -381,7 +381,7 @@ func TestPredCostNoLeakFromFirstOverride(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "pricey", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{
 			{UDFName: "cheapdef", UDFArg: "id", Want: true},
@@ -406,10 +406,10 @@ func TestExplainRejectsBadProjection(t *testing.T) {
 	e, _, _ := newTestEngine(t, 60)
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Columns: []string{"nosuchcol"}}
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown projection column accepted")
 	}
-	if _, err := e.Execute(q); err == nil {
+	if _, err := execute(e, q); err == nil {
 		t.Fatal("execution with unknown projection column accepted")
 	}
 }

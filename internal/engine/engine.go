@@ -241,57 +241,55 @@ func (e *Engine) costModel(q Query) core.CostModel {
 	return cost
 }
 
-// Execute runs the query and returns the matching row ids plus statistics.
+// Run is the one execution path for every query shape: validate, bind
+// tables and predicates, lower into the physical operator tree, and run it
+// as a batch pull pipeline (see batch.go), delivering the result rows to
+// sink in deterministic batches as execution produces them. A materialized
+// result is a sink that collects. For streaming shapes (exact selections
+// and conjunction waves) the first batch arrives while later batches are
+// still unevaluated; blocking shapes (sampling pipelines, the §5
+// two-predicate plan, joins) finish evaluating first and then deliver the
+// finished result in batches. join, when non-nil, runs q as the
+// selection-before-join extension. The returned Stats cover the
+// evaluation performed — after the sink returns ErrStopStream they reflect
+// only the batches actually pulled. With analyze set, the executed tree
+// comes back with per-operator Actual counts (EXPLAIN ANALYZE); the
+// returned root is nil otherwise. A trace attached to ctx (obs.WithTrace)
+// gets bind/plan/operator spans either way.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteContext
-func (e *Engine) Execute(q Query) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute honoring a context: every UDF-evaluating phase
-// (labeling, sampling, execution, exact scans) checks the context between
-// work items, so a cancel or deadline returns ctx.Err() after at most one
-// in-flight UDF call per worker. A cancelled query leaves the engine fully
-// reusable — the cross-query outcome cache keeps every completed (and paid)
-// evaluation, no entry is ever stored partially, and a later run of the
-// same query completes normally. See DESIGN.md, "Cancellation contract".
-func (e *Engine) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
-	res, _, err := e.executeStatement(ctx, q, nil, false, nil)
-	return res, err
-}
-
-// executeStatement is the uniform execution path for every query shape:
-// validate, bind tables and predicates, lower into the physical operator
-// tree, and run it as a batch pull pipeline (see batch.go). The former
-// per-shape dispatch branches live on as plan shapes (see planner.go and
-// operators.go). With analyze set, the executed tree comes back with
-// per-operator Actual counts (EXPLAIN ANALYZE); the returned root is nil
-// otherwise. A non-nil sink streams result batches as they are produced
-// instead of materializing Result.Rows. A trace attached to ctx
-// (obs.WithTrace) gets bind/plan/operator spans either way.
-func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoinQuery, analyze bool, sink RowSink) (*Result, *plan.Node, error) {
+// Every UDF-evaluating phase (labeling, sampling, execution, exact scans)
+// checks ctx between work items, so a cancel or deadline returns ctx.Err()
+// after at most one in-flight UDF call per worker. A cancelled query
+// leaves the engine fully reusable — the cross-query outcome cache keeps
+// every completed (and paid) evaluation, no entry is ever stored
+// partially, and a later run of the same query completes normally. See
+// DESIGN.md, "Cancellation contract".
+func (e *Engine) Run(ctx context.Context, q Query, join *SelectJoinQuery, analyze bool, sink RowSink) (Stats, *plan.Node, error) {
+	if sink == nil {
+		return Stats{}, nil, fmt.Errorf("engine: Run requires a sink")
+	}
 	if err := q.Validate(); err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	if err := validateShape(q, join); err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("bind")
 	st, err := e.bindStatement(q, join)
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	st.analyze = analyze
 	sp = tr.Start("plan")
 	root, err := plan.Physical(e.buildSpec(st))
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	// Trip baselines for the breakers this statement touches (deduped by
 	// pointer — duplicate predicates share one breaker), so Stats can report
@@ -315,11 +313,11 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoin
 		e.mu.Unlock()
 	}
 	if err := e.runPipeline(ctx, root, st, sink); err != nil {
-		return nil, nil, err
+		return Stats{}, nil, err
 	}
 	for _, p := range st.preds {
 		if err := p.fault.Err(); err != nil {
-			return nil, nil, err
+			return Stats{}, nil, err
 		}
 	}
 	// Resilience accounting: failed rows and retries from the per-predicate
@@ -340,7 +338,7 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoin
 	if !analyze {
 		root = nil
 	}
-	return st.res, root, nil
+	return st.res.Stats, root, nil
 }
 
 // universe resolves a row subset: nil means every row of the table.
@@ -537,42 +535,4 @@ func (e *Engine) projection(tbl *table.Table, cols []string) ([]int, error) {
 		idxs[i] = j
 	}
 	return idxs, nil
-}
-
-// Materialize builds a new table holding the result rows with the query's
-// projection applied.
-func (e *Engine) Materialize(q Query, res *Result) (*table.Table, error) {
-	tbl, err := e.Table(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	idxs, err := e.projection(tbl, q.Columns)
-	if err != nil {
-		return nil, err
-	}
-	if idxs == nil {
-		idxs = make([]int, tbl.Schema().Len())
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	defs := make([]table.ColumnDef, len(idxs))
-	for i, j := range idxs {
-		defs[i] = tbl.Schema().Col(j)
-	}
-	schema, err := table.NewSchema(defs...)
-	if err != nil {
-		return nil, err
-	}
-	out := table.New(tbl.Name()+"_result", schema)
-	vals := make([]table.Value, len(idxs))
-	for _, row := range res.Rows {
-		for i, j := range idxs {
-			vals[i] = tbl.Column(j).Value(row)
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"context"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/table"
 )
@@ -68,9 +71,54 @@ func approx(alpha, beta, rho float64) *Approx {
 	return &Approx{Precision: alpha, Recall: beta, Probability: rho}
 }
 
+// collect runs q through Run with a sink that collects the result rows:
+// the materialized form the tests compare. join and analyze pass through.
+func collect(ctx context.Context, e *Engine, q Query, join *SelectJoinQuery, analyze bool) (*Result, *plan.Node, error) {
+	res := &Result{}
+	stats, root, err := e.Run(ctx, q, join, analyze, func(rows []int) error {
+		res.Rows = append(res.Rows, rows...)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats = stats
+	return res, root, nil
+}
+
+// execute is collect for a plain query without a deadline.
+func execute(e *Engine, q Query) (*Result, error) {
+	res, _, err := collect(context.Background(), e, q, nil, false)
+	return res, err
+}
+
+// executeJoin is execute for the selection-before-join extension.
+func executeJoin(e *Engine, q SelectJoinQuery) (*Result, error) {
+	res, _, err := collect(context.Background(), e, q.Query, &q, false)
+	return res, err
+}
+
+// explain renders q's physical plan as EXPLAIN text.
+func explain(e *Engine, q Query) (string, error) {
+	n, err := e.Plan(q)
+	if err != nil {
+		return "", err
+	}
+	return plan.Format(n), nil
+}
+
+// explainJoin is explain for the selection-before-join extension.
+func explainJoin(e *Engine, q SelectJoinQuery) (string, error) {
+	n, err := e.PlanSelectJoin(q)
+	if err != nil {
+		return "", err
+	}
+	return plan.Format(n), nil
+}
+
 func TestExecuteExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := execute(e, Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +141,7 @@ func TestExecuteExact(t *testing.T) {
 
 func TestExecuteApproxPinnedColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
@@ -128,7 +176,7 @@ func TestExecuteApproxPinnedColumn(t *testing.T) {
 
 func TestExecuteApproxDiscoversColumn(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8),
 	})
@@ -147,7 +195,7 @@ func TestExecuteApproxDiscoversColumn(t *testing.T) {
 
 func TestExecuteApproxVirtualColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 	})
@@ -181,7 +229,7 @@ func TestExecuteApproxVirtualColumn(t *testing.T) {
 
 func TestExecuteWantFalse(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 900)
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: false})
+	res, err := execute(e, Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +242,7 @@ func TestExecuteWantFalse(t *testing.T) {
 
 func TestExecuteBudget(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", Budget: 4000,
 	})
@@ -224,7 +272,7 @@ func TestExecuteErrors(t *testing.T) {
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "missing"},
 	}
 	for i, q := range cases {
-		if _, err := e.Execute(q); err == nil {
+		if _, err := execute(e, q); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, q)
 		}
 	}
@@ -291,19 +339,27 @@ func TestMaterialize(t *testing.T) {
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Columns: []string{"id", "grade"},
 	}
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Materialize(q, res)
+	cols, render, err := e.Renderer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.NumRows() != len(res.Rows) {
-		t.Fatalf("materialized %d rows, want %d", out.NumRows(), len(res.Rows))
+	if len(cols) != 2 || cols[1] != "grade" {
+		t.Fatalf("projection columns %v", cols)
 	}
-	if out.Schema().Len() != 2 || out.Schema().Col(1).Name != "grade" {
-		t.Fatalf("projection schema %s", out.Schema())
+	tbl, err := e.Table("loans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grade := tbl.ColumnByName("grade")
+	for _, row := range res.Rows {
+		cells := render(row)
+		if len(cells) != 2 || cells[0] != strconv.Itoa(row) || cells[1] != grade.StringAt(row) {
+			t.Fatalf("row %d rendered %v", row, cells)
+		}
 	}
 }
 
@@ -330,7 +386,7 @@ func TestExecuteSelectJoin(t *testing.T) {
 		},
 		JoinTable: "orders", LeftKey: "id", RightKey: "loan_id",
 	}
-	res, err := e.ExecuteSelectJoin(q)
+	res, err := executeJoin(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +422,7 @@ func TestExecuteSelectJoinErrors(t *testing.T) {
 		{Query: base, JoinTable: "loans", LeftKey: "id", RightKey: "missing"},
 	}
 	for i, q := range cases {
-		if _, err := e.ExecuteSelectJoin(q); err == nil {
+		if _, err := executeJoin(e, q); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
@@ -402,7 +458,7 @@ func TestVirtualColumnDeterministic(t *testing.T) {
 		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(Query{
+		res, err := execute(e, Query{
 			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 		})
@@ -432,7 +488,7 @@ func TestEngineDeterministicAcrossSeeds(t *testing.T) {
 		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(Query{
+		res, err := execute(e, Query{
 			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		})
@@ -493,7 +549,7 @@ func TestExecuteConjunction(t *testing.T) {
 		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
 		Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
 	}
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +560,7 @@ func TestExecuteConjunction(t *testing.T) {
 	qExact := q
 	qExact.Approx = nil
 	qExact.GroupOn = ""
-	exact, err := e.Execute(qExact)
+	exact, err := execute(e, qExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +599,7 @@ func TestExecuteConjunctionExactShortCircuits(t *testing.T) {
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{{UDFName: "second", UDFArg: "id", Want: true}},
 	}
-	res, err := e.Execute(q)
+	res, err := execute(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,24 +630,24 @@ func TestExecuteConjunctionValidation(t *testing.T) {
 		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx:    approx(0.8, 0.8, 0.8),
 	}
-	if _, err := e.Execute(base); err == nil {
+	if _, err := execute(e, base); err == nil {
 		t.Fatal("conjunction without GROUP ON accepted")
 	}
 	bad := base
 	bad.Conjuncts = []Conjunct{{}}
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := execute(e, bad); err == nil {
 		t.Fatal("empty conjunct accepted")
 	}
 	bad = base
 	bad.GroupOn = "grade"
 	bad.Conjuncts = []Conjunct{{UDFName: "missing", UDFArg: "id", Want: true}}
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := execute(e, bad); err == nil {
 		t.Fatal("unknown second UDF accepted")
 	}
 	bad = base
 	bad.GroupOn = "grade"
 	bad.Budget = 100
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := execute(e, bad); err == nil {
 		t.Fatal("budget + conjunction accepted")
 	}
 }
@@ -606,7 +662,7 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Execute(Query{Table: "loans", UDFName: "explodes", UDFArg: "id", Want: true})
+	_, err := execute(e, Query{Table: "loans", UDFName: "explodes", UDFArg: "id", Want: true})
 	if err == nil {
 		t.Fatal("panicking UDF did not surface an error")
 	}
@@ -614,7 +670,7 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 		t.Fatalf("error %v does not mention the panic", err)
 	}
 	// The engine must survive: a subsequent healthy query still works.
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := execute(e, Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +686,7 @@ func TestUDFPanicInApproximateQuery(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Execute(Query{
+	_, err := execute(e, Query{
 		Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
@@ -641,7 +697,7 @@ func TestUDFPanicInApproximateQuery(t *testing.T) {
 
 func TestCheapFilterPushdownExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "grade", Value: "A"}},
 	})
@@ -667,7 +723,7 @@ func TestCheapFilterPushdownExact(t *testing.T) {
 
 func TestCheapFilterPushdownApprox(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx:  approx(0.8, 0.8, 0.8),
 		Filters: []Filter{{Column: "purpose", Value: "car"}},
@@ -702,7 +758,7 @@ func TestCheapFilterPushdownApprox(t *testing.T) {
 
 func TestCheapFilterErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
-	_, err := e.Execute(Query{
+	_, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "missing", Value: "x"}},
 	})
@@ -713,7 +769,7 @@ func TestCheapFilterErrors(t *testing.T) {
 
 func TestCheapFilterEmptyResult(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "grade", Value: "Z"}},
 	})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/table"
@@ -13,31 +12,16 @@ import (
 //
 // Tuples of T matching many T2 tuples count with that multiplicity in the
 // join result, so the optimizer prefers verifying them even at lower
-// selectivity.
+// selectivity. Run executes it (as its join argument) through the same
+// planner pipeline as every other shape: group-resolve → join-group →
+// sample → solve(join-weights) → prob-eval → merge (see operators.go). The
+// output rows are row ids of the base table (joined expansion is left to
+// the caller); guarantees are at the join-result level.
 type SelectJoinQuery struct {
 	Query
 	JoinTable string
 	LeftKey   string
 	RightKey  string
-}
-
-// ExecuteSelectJoin plans per (group, join-key-weight-class) subgroups with
-// join-multiplicity weights and executes the resulting strategy. The
-// output rows are row ids of the base table (joined expansion is left to
-// the caller); guarantees are at the join-result level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteSelectJoinContext
-func (e *Engine) ExecuteSelectJoin(q SelectJoinQuery) (*Result, error) {
-	return e.ExecuteSelectJoinContext(context.Background(), q)
-}
-
-// ExecuteSelectJoinContext is ExecuteSelectJoin honoring a context (same
-// cancellation contract as ExecuteContext). The join runs through the same
-// planner pipeline as every other shape: group-resolve → join-group →
-// sample → solve(join-weights) → prob-eval → merge (see operators.go).
-func (e *Engine) ExecuteSelectJoinContext(ctx context.Context, q SelectJoinQuery) (*Result, error) {
-	res, _, err := e.executeStatement(ctx, q.Query, &q, false, nil)
-	return res, err
 }
 
 // JoinMultiplicities is a helper exposing the per-key match counts of a

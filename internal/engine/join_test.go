@@ -36,7 +36,7 @@ func TestSelectJoinSkipsZeroWeightSubgroups(t *testing.T) {
 		}
 	}
 	ordersFor(t, e, ids)
-	res, err := e.ExecuteSelectJoin(SelectJoinQuery{
+	res, err := executeJoin(e, SelectJoinQuery{
 		Query: Query{
 			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 			Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
@@ -71,7 +71,7 @@ func TestSelectJoinAllZeroWeight(t *testing.T) {
 	e, _, calls := newTestEngine(t, 300)
 	// Orders reference ids far outside the loans table.
 	ordersFor(t, e, []int64{5000, 5001, 5002})
-	res, err := e.ExecuteSelectJoin(SelectJoinQuery{
+	res, err := executeJoin(e, SelectJoinQuery{
 		Query: Query{
 			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 			Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",

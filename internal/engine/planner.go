@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -127,44 +126,4 @@ func (e *Engine) planStatement(q Query, join *SelectJoinQuery) (*plan.Node, erro
 		return nil, err
 	}
 	return plan.Physical(e.buildSpec(st))
-}
-
-// Explain renders the query's physical plan as EXPLAIN text.
-func (e *Engine) Explain(q Query) (string, error) {
-	n, err := e.Plan(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Format(n), nil
-}
-
-// ExplainSelectJoin is Explain for the selection-before-join extension.
-func (e *Engine) ExplainSelectJoin(q SelectJoinQuery) (string, error) {
-	n, err := e.PlanSelectJoin(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Format(n), nil
-}
-
-// ExplainAnalyzeContext EXECUTES the query and returns the physical plan
-// annotated with per-operator measured counts (plan.Actual) alongside the
-// result. The count fields are bit-identical at any parallelism; only the
-// per-node wall times vary (see plan.ZeroTimings).
-func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q Query) (*plan.Node, *Result, error) {
-	res, root, err := e.executeStatement(ctx, q, nil, true, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, res, nil
-}
-
-// ExplainAnalyzeSelectJoinContext is ExplainAnalyzeContext for the
-// selection-before-join extension.
-func (e *Engine) ExplainAnalyzeSelectJoinContext(ctx context.Context, q SelectJoinQuery) (*plan.Node, *Result, error) {
-	res, root, err := e.executeStatement(ctx, q.Query, &q, true, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, res, nil
 }

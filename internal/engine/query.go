@@ -132,7 +132,11 @@ type Stats struct {
 	// ChosenColumn is the correlated column the optimizer used ("" for
 	// exact execution).
 	ChosenColumn string
-	// Sampled is the number of tuples evaluated during estimation.
+	// Sampled is the number of tuples examined while estimating
+	// selectivities (labeling + sampling). Zero for exact queries. On a
+	// cold UDF cache every sampled tuple is also an Evaluation; when the
+	// cross-query cache is warm, sampled tuples served from cache are not
+	// charged, so Sampled may exceed Evaluations.
 	Sampled int
 	// Exact reports whether the query ran without approximation.
 	Exact bool
@@ -162,8 +166,10 @@ type Stats struct {
 	Degraded bool
 }
 
-// Result is a query's output: the matching row ids of the base table (so
-// callers can project whatever they need) plus execution statistics.
+// Result is a plan's product as its operators assemble it: the execution
+// statistics plus, for blocking shapes, the finished row ids of the base
+// table that the pipeline's terminal then delivers to Run's sink.
+// Streaming terminals deliver their rows batch by batch and leave Rows nil.
 type Result struct {
 	Rows  []int
 	Stats Stats

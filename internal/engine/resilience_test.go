@@ -44,7 +44,7 @@ func exactQuery(onFailure FailurePolicy) Query {
 
 func TestFailPolicyReturnsTypedError(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{17: true})
-	_, err := e.Execute(exactQuery(FailOnError))
+	_, err := execute(e, exactQuery(FailOnError))
 	if err == nil {
 		t.Fatal("want the query to fail under the fail policy")
 	}
@@ -60,7 +60,7 @@ func TestFailPolicyReturnsTypedError(t *testing.T) {
 func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 	failIDs := map[int64]bool{5: true, 100: true, 250: true}
 	e, truth := newFallibleEngine(t, 300, failIDs)
-	res, err := e.Execute(exactQuery(SkipFailed))
+	res, err := execute(e, exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 
 func TestDegradePolicyMarksDegraded(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
-	res, err := e.Execute(exactQuery(DegradeFailed))
+	res, err := execute(e, exactQuery(DegradeFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 	}
 	// No failures → not degraded, even under the degrade policy.
 	e2, _ := newFallibleEngine(t, 300, nil)
-	res2, err := e2.Execute(exactQuery(DegradeFailed))
+	res2, err := execute(e2, exactQuery(DegradeFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 func TestEngineDefaultPolicyApplies(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
 	e.OnFailure = SkipFailed
-	res, err := e.Execute(exactQuery("")) // query defers to the engine default
+	res, err := execute(e, exactQuery("")) // query defers to the engine default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRetriesCountedAndTransientRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(exactQuery(FailOnError))
+	res, err := execute(e, exactQuery(FailOnError))
 	if err != nil {
 		t.Fatalf("transient errors within the retry budget must not fail the query: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestBreakerTripRecordedInStats(t *testing.T) {
 	}
 	e, _ := newFallibleEngine(t, 300, failIDs)
 	e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 200, Probes: 2, Segment: 8}
-	res, err := e.Execute(exactQuery(SkipFailed))
+	res, err := execute(e, exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := e.Execute(exactQuery(SkipFailed))
+	res1, err := execute(e, exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	mu.Lock()
 	healthy = true
 	mu.Unlock()
-	res2, err := e.Execute(exactQuery(SkipFailed))
+	res2, err := execute(e, exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 		failIDs[id] = true
 	}
 	e, _ := newFallibleEngine(t, 3000, failIDs)
-	res, err := e.Execute(Query{
+	res, err := execute(e, Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: DegradeFailed,
 	})

@@ -64,7 +64,7 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 			Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
 			Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
 		}
-		res, err := e.Execute(q)
+		res, err := execute(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 		// A follow-up single-predicate query on the same engine pins the
 		// engine RNG stream: if the conjunction path consumed one extra (or
 		// one fewer) split, this diverges.
-		res2, err := e.Execute(Query{
+		res2, err := execute(e, Query{
 			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		})
@@ -94,7 +94,7 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 		qe := q
 		qe.Approx = nil
 		qe.GroupOn = ""
-		resE, err := e2.Execute(qe)
+		resE, err := execute(e2, qe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -264,43 +264,9 @@ type BreakerStatus = engine.BreakerStatus
 // (table, UDF) order.
 func (db *DB) BreakerStatuses() []BreakerStatus { return db.eng.BreakerStatuses() }
 
-// Stats summarizes how a query spent its cost budget.
-type Stats struct {
-	// Evaluations is the number of UDF invocations made.
-	Evaluations int
-	// Retrievals is the number of tuples fetched.
-	Retrievals int
-	// Cost is o_r·Retrievals + o_e·Evaluations.
-	Cost float64
-	// ChosenColumn is the correlated (possibly virtual) column used.
-	ChosenColumn string
-	// Sampled is the number of tuples examined while estimating
-	// selectivities (labeling + sampling). Zero for exact queries. On a
-	// cold UDF cache every sampled tuple is also an Evaluation; when the
-	// cross-query cache is warm, sampled tuples served from cache are not
-	// charged, so Sampled may exceed Evaluations.
-	Sampled int
-	// Exact reports whether the query ran without approximation.
-	Exact bool
-	// AchievedRecallBound is set for BUDGET queries.
-	AchievedRecallBound float64
-	// CacheHits counts rows served from the cross-query outcome cache
-	// (no UDF invocation charged). Zero when the cache is disabled.
-	CacheHits int
-	// CacheMisses counts cache lookups that fell through to a paid UDF
-	// invocation. Zero when the cache is disabled.
-	CacheMisses int
-	// FailedRows counts rows excluded because their UDF invocation
-	// ultimately failed (after retries, or denied by an open breaker),
-	// summed per predicate.
-	FailedRows int
-	// Retries counts extra UDF invocation attempts beyond each row's first.
-	Retries int
-	// BreakerTrips counts circuit-breaker trips this query caused.
-	BreakerTrips int
-	// Degraded marks a partial result under the "degrade" failure policy.
-	Degraded bool
-}
+// Stats summarizes how a query spent its cost budget (see engine.Stats
+// for the fields).
+type Stats = engine.Stats
 
 // Rows is a materialized query result.
 type Rows struct {
@@ -348,12 +314,12 @@ func (db *DB) Explain(sql string) (string, error) {
 // ExplainContext is Explain honoring a context (which matters for EXPLAIN
 // ANALYZE, where the query actually executes).
 func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
-	stmt, err := sqlparse.Parse(sql)
+	stmt, err := db.parse(ctx, sql, "")
 	if err != nil {
 		return "", err
 	}
 	if stmt.Analyze {
-		_, text, err := db.executeStatement(ctx, stmt, true)
+		_, text, err := db.run(ctx, stmt, true, func([]int) error { return nil })
 		return text, err
 	}
 	return db.explainStatement(stmt)
@@ -393,21 +359,13 @@ type QueryOptions struct {
 	Analyze bool
 }
 
-// QueryContextOptions is QueryContext with per-query options.
+// QueryContextOptions is QueryContext with per-query options. The result
+// is a collected stream: the statement runs through the same path as
+// QueryStream, with a sink that keeps every row.
 func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOptions) (*Rows, error) {
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End()
+	stmt, err := db.parse(ctx, sql, opts.OnFailure)
 	if err != nil {
 		return nil, err
-	}
-	if opts.OnFailure != "" {
-		policy, err := engine.ParseFailurePolicy(opts.OnFailure)
-		if err != nil {
-			return nil, err
-		}
-		stmt.Query.OnFailure = policy
 	}
 	if stmt.Explain && !stmt.Analyze {
 		text, err := db.explainStatement(stmt)
@@ -417,24 +375,13 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 		return planRows(text), nil
 	}
 	analyze := stmt.Analyze || opts.Analyze
-	res, planText, err := db.executeStatement(ctx, stmt, analyze)
+	var ids []int
+	stats, planText, err := db.run(ctx, stmt, analyze, func(rows []int) error {
+		ids = append(ids, rows...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	stats := Stats{
-		Evaluations:         res.Stats.Evaluations,
-		Retrievals:          res.Stats.Retrievals,
-		Cost:                res.Stats.Cost,
-		ChosenColumn:        res.Stats.ChosenColumn,
-		Sampled:             res.Stats.Sampled,
-		Exact:               res.Stats.Exact,
-		AchievedRecallBound: res.Stats.AchievedRecallBound,
-		CacheHits:           res.Stats.CacheHits,
-		CacheMisses:         res.Stats.CacheMisses,
-		FailedRows:          res.Stats.FailedRows,
-		Retries:             res.Stats.Retries,
-		BreakerTrips:        res.Stats.BreakerTrips,
-		Degraded:            res.Stats.Degraded,
 	}
 	var planLines []string
 	if analyze {
@@ -449,68 +396,75 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 		rows.plan = planLines
 		return rows, nil
 	}
-	sp = tr.Start("materialize")
-	out, err := db.eng.Materialize(stmt.Query, res)
-	sp.End()
+	sp := obs.FromContext(ctx).Start("materialize")
+	defer sp.End()
+	cols, render, err := db.eng.Renderer(stmt.Query)
 	if err != nil {
 		return nil, err
 	}
-	rows := &Rows{
-		cols:  out.Schema().Names(),
-		ids:   res.Rows,
-		stats: stats,
-		plan:  planLines,
-	}
-	rows.cells = make([][]string, out.NumRows())
-	for i := 0; i < out.NumRows(); i++ {
-		cells := make([]string, out.Schema().Len())
-		for j := range cells {
-			cells[j] = out.CellString(i, j)
-		}
-		rows.cells[i] = cells
+	rows := &Rows{cols: cols, ids: ids, stats: stats, plan: planLines, cells: make([][]string, len(ids))}
+	for i, id := range ids {
+		rows.cells[i] = render(id)
 	}
 	return rows, nil
 }
 
-// executeStatement runs an already-parsed statement; with analyze set the
-// executed plan comes back rendered with per-operator measured counts.
-func (db *DB) executeStatement(ctx context.Context, stmt *sqlparse.Statement, analyze bool) (*engine.Result, string, error) {
+// parse parses one statement under a "parse" span and applies the
+// per-query failure policy override ("" keeps the DB default).
+func (db *DB) parse(ctx context.Context, sql, onFailure string) (*sqlparse.Statement, error) {
+	sp := obs.FromContext(ctx).Start("parse")
+	stmt, err := sqlparse.Parse(sql)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if onFailure != "" {
+		policy, err := engine.ParseFailurePolicy(onFailure)
+		if err != nil {
+			return nil, err
+		}
+		stmt.Query.OnFailure = policy
+	}
+	return stmt, nil
+}
+
+// run executes a parsed statement through Engine.Run — the one execution
+// path under Query, QueryStream and EXPLAIN ANALYZE — handing each result
+// batch's row ids to sink. With analyze set the executed plan comes back
+// rendered with per-operator measured counts.
+func (db *DB) run(ctx context.Context, stmt *sqlparse.Statement, analyze bool, sink engine.RowSink) (Stats, string, error) {
+	var join *engine.SelectJoinQuery
 	if stmt.Join != nil {
 		sj, err := stmt.SelectJoin()
 		if err != nil {
-			return nil, "", err
+			return Stats{}, "", err
 		}
-		if analyze {
-			root, res, err := db.eng.ExplainAnalyzeSelectJoinContext(ctx, sj)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, plan.Format(root), nil
-		}
-		res, err := db.eng.ExecuteSelectJoinContext(ctx, sj)
-		return res, "", err
+		join = &sj
 	}
-	if analyze {
-		root, res, err := db.eng.ExplainAnalyzeContext(ctx, stmt.Query)
-		if err != nil {
-			return nil, "", err
-		}
-		return res, plan.Format(root), nil
+	stats, root, err := db.eng.Run(ctx, stmt.Query, join, analyze, sink)
+	if err != nil || !analyze {
+		return stats, "", err
 	}
-	res, err := db.eng.ExecuteContext(ctx, stmt.Query)
-	return res, "", err
+	return stats, plan.Format(root), nil
 }
 
 // explainStatement renders the plan for an already-parsed statement.
 func (db *DB) explainStatement(stmt *sqlparse.Statement) (string, error) {
+	var root *plan.Node
+	var err error
 	if stmt.Join != nil {
-		sj, err := stmt.SelectJoin()
-		if err != nil {
-			return "", err
+		sj, jerr := stmt.SelectJoin()
+		if jerr != nil {
+			return "", jerr
 		}
-		return db.eng.ExplainSelectJoin(sj)
+		root, err = db.eng.PlanSelectJoin(sj)
+	} else {
+		root, err = db.eng.Plan(stmt.Query)
 	}
-	return db.eng.Explain(stmt.Query)
+	if err != nil {
+		return "", err
+	}
+	return plan.Format(root), nil
 }
 
 // planRows wraps EXPLAIN text as a one-column result set (one row per
@@ -535,8 +489,10 @@ type StreamOptions struct {
 	// "skip" or "degrade" ("" keeps the DB default). See SetFailurePolicy.
 	OnFailure string
 	// Limit, when > 0, stops the stream after that many rows: production
-	// is cancelled upstream (unevaluated rows are never paid for), the
-	// result is marked Truncated, and Stats cover only the work performed.
+	// is cancelled upstream (unevaluated rows are never paid for) and
+	// Stats cover only the work performed. When the limit lands exactly on
+	// a batch end, the stream pulls one more batch to learn whether any
+	// row is left to withhold.
 	Limit int
 }
 
@@ -551,7 +507,8 @@ type StreamResult struct {
 	Stats Stats
 	// RowCount is the number of rows delivered to emit.
 	RowCount int
-	// Truncated reports that Limit stopped the stream before exhaustion.
+	// Truncated reports that Limit withheld at least one row. A result of
+	// exactly Limit rows is not truncated.
 	Truncated bool
 }
 
@@ -575,22 +532,12 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 	if emit == nil {
 		return nil, fmt.Errorf("predeval: QueryStream requires an emit callback")
 	}
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End()
+	stmt, err := db.parse(ctx, sql, opts.OnFailure)
 	if err != nil {
 		return nil, err
 	}
 	if stmt.Explain || stmt.Analyze {
 		return nil, fmt.Errorf("predeval: EXPLAIN statements cannot be streamed")
-	}
-	if opts.OnFailure != "" {
-		policy, err := engine.ParseFailurePolicy(opts.OnFailure)
-		if err != nil {
-			return nil, err
-		}
-		stmt.Query.OnFailure = policy
 	}
 	if opts.Limit < 0 {
 		return nil, fmt.Errorf("predeval: negative stream limit %d", opts.Limit)
@@ -600,9 +547,12 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 		return nil, err
 	}
 	res := &StreamResult{Columns: cols}
-	sink := func(rows []int) error {
-		if opts.Limit > 0 && res.RowCount+len(rows) >= opts.Limit {
-			rows = rows[:opts.Limit-res.RowCount]
+	stats, _, err := db.run(ctx, stmt, false, func(rows []int) error {
+		// Batches are never empty, so a batch arriving once the limit is
+		// reached proves a row is withheld; a result of exactly Limit rows
+		// ends without one and is not truncated.
+		if room := opts.Limit - res.RowCount; opts.Limit > 0 && len(rows) > room {
+			rows = rows[:room]
 			res.Truncated = true
 		}
 		if len(rows) > 0 {
@@ -620,38 +570,11 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 			return ErrStopStream
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var stats engine.Stats
-	if stmt.Join != nil {
-		sj, err := stmt.SelectJoin()
-		if err != nil {
-			return nil, err
-		}
-		stats, err = db.eng.ExecuteStreamSelectJoinContext(ctx, sj, sink)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		stats, err = db.eng.ExecuteStreamContext(ctx, stmt.Query, sink)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Stats = Stats{
-		Evaluations:         stats.Evaluations,
-		Retrievals:          stats.Retrievals,
-		Cost:                stats.Cost,
-		ChosenColumn:        stats.ChosenColumn,
-		Sampled:             stats.Sampled,
-		Exact:               stats.Exact,
-		AchievedRecallBound: stats.AchievedRecallBound,
-		CacheHits:           stats.CacheHits,
-		CacheMisses:         stats.CacheMisses,
-		FailedRows:          stats.FailedRows,
-		Retries:             stats.Retries,
-		BreakerTrips:        stats.BreakerTrips,
-		Degraded:            stats.Degraded,
-	}
+	res.Stats = stats
 	return res, nil
 }
 

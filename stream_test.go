@@ -176,3 +176,50 @@ func TestQueryStreamApproxBlockingShape(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", res.Stats, want.Stats())
 	}
 }
+
+// TestQueryStreamTruncatedOnlyWhenRowsWithheld pins the Truncated rule: a
+// limit equal to the result size withholds nothing, so the stream is not
+// truncated; a limit one below it is. A limit that lands on a batch end
+// with rows still to come stops at the next non-empty batch, which
+// proves a row is withheld, and delivers nothing from it.
+func TestQueryStreamTruncatedOnlyWhenRowsWithheld(t *testing.T) {
+	const sql = "SELECT id FROM loans WHERE good_credit(id) = 1"
+	stream := func(batchSize, limit int) (*StreamResult, []int) {
+		t.Helper()
+		db, _ := openLoanDB(t, 600)
+		db.SetBatchSize(batchSize)
+		var sizes []int
+		res, err := db.QueryStream(context.Background(), sql, StreamOptions{Limit: limit},
+			func(ids []int, _ [][]string) error {
+				sizes = append(sizes, len(ids))
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sizes
+	}
+	full, _ := stream(0, 0)
+	n := full.RowCount
+	for _, tc := range []struct {
+		limit     int
+		rows      int
+		truncated bool
+	}{
+		{n - 1, n - 1, true},
+		{n, n, false},
+		{n + 1, n, false},
+	} {
+		if res, _ := stream(0, tc.limit); res.RowCount != tc.rows || res.Truncated != tc.truncated {
+			t.Errorf("n=%d limit=%d: RowCount=%d Truncated=%v, want %d/%v",
+				n, tc.limit, res.RowCount, res.Truncated, tc.rows, tc.truncated)
+		}
+	}
+	_, sizes := stream(16, 0)
+	first := sizes[0]
+	res, got := stream(16, first)
+	if !res.Truncated || res.RowCount != first || !reflect.DeepEqual(got, []int{first}) {
+		t.Fatalf("limit %d at the first batch end: Truncated=%v RowCount=%d batches=%v, want true/%d/[%d]",
+			first, res.Truncated, res.RowCount, got, first, first)
+	}
+}
