@@ -87,7 +87,7 @@ func BenchmarkIntelSamplePipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunIntelSample(in, core.RunOptions{RNG: rng.Split()})
+		res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng.Split()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkExecutor(b *testing.B) {
 	udf := core.UDFFunc(func(r int) bool { return labels[r] })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Execute(groups, s, nil, udf, core.DefaultCost, rng.Split()); err != nil {
+		if _, err := core.ExecuteParallelCtx(context.Background(), groups, s, nil, udf, core.DefaultCost, rng.Split(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

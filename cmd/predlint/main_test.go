@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -334,5 +336,15 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "predlint: 0 findings") {
 		t.Errorf("summary does not report a clean tree:\n%s", stderr.String())
+	}
+	// Ratchet: the allow-directive count may only fall. Lower maxDirectives
+	// when a change removes directives; never raise it.
+	const maxDirectives = 7
+	m := regexp.MustCompile(`suppressed by (\d+) directives`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("summary does not report a directive count:\n%s", stderr.String())
+	}
+	if n, _ := strconv.Atoi(m[1]); n > maxDirectives {
+		t.Errorf("the tree carries %d //predlint:allow directives, want at most %d:\n%s", n, maxDirectives, stderr.String())
 	}
 }

@@ -59,7 +59,7 @@ func TestQueryGoldenPerShape(t *testing.T) {
 		{"two-predicate",
 			"SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1 WITH PRECISION 0.8 GROUP ON grade",
 			122, 0xf0568524fa5457f3,
-			Stats{Evaluations: 964, Retrievals: 600, Cost: 3492, ChosenColumn: "grade", CacheMisses: 964}},
+			Stats{Evaluations: 964, Retrievals: 600, Cost: 3492, ChosenColumn: "grade", Sampled: 141, CacheMisses: 964}},
 		{"select-join",
 			"SELECT * FROM loans JOIN orders ON loans.id = orders.loan_id WHERE good_credit(id) = 1 WITH RECALL 0.8 GROUP ON grade",
 			24, 0x5e7211b9aa43a3ae,

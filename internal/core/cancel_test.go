@@ -27,7 +27,7 @@ func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 
 	// Reference: an uncancelled sampler over the same seed.
 	ref := NewSampler(groups, udf, stats.NewRNG(5))
-	refN, err := ref.TopUp(targets)
+	refN, err := ref.TopUpCtx(context.Background(), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,30 +106,9 @@ func TestRunTwoPredicatesParallelCtxCancel(t *testing.T) {
 	cons := Constraints{Alpha: 0.7, Beta: 0.7, Rho: 0.7}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, _, err := RunTwoPredicatesParallelCtx(ctx, groups, cancelAfter(udf, 5, cancel), udf, cons, DefaultCost, nil, stats.NewRNG(11), par)
+		_, _, err := RunTwoPredicatesParallelCtx(ctx, groups, NewMeter(cancelAfter(udf, 5, cancel)), NewMeter(udf), cons, DefaultCost, nil, stats.NewRNG(11), par)
 		if err != context.Canceled {
 			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
 		}
-	}
-}
-
-func TestCtxVariantsMatchLegacyOnBackground(t *testing.T) {
-	// The uncancellable sequential form must be bit-identical to the Ctx
-	// form under a Background context (same RNG consumption, same outputs).
-	groups, udf := parallelTestGroups(3000)
-	s := NewStrategy(3)
-	s.R[0], s.E[0] = 1, 0.9
-	s.R[1], s.E[1] = 0.7, 0.4
-	s.R[2], s.E[2] = 0.2, 0.1
-	legacy, err := Execute(groups, s, nil, udf, DefaultCost, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := ExecuteParallelCtx(context.Background(), groups, s, nil, udf, DefaultCost, stats.NewRNG(7), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, ctxed) {
-		t.Fatal("ExecuteParallelCtx(Background) diverges from Execute")
 	}
 }

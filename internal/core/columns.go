@@ -89,28 +89,20 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 	return choice, nil
 }
 
-// Labeler is the random source LabelFraction needs to pick rows.
+// Labeler is the random source LabelFractionParallelCtx needs to pick rows.
 type Labeler interface {
 	SampleWithoutReplacement(n, k int) []int
 }
 
-// LabelFraction evaluates the UDF on a uniform random fraction of all rows
-// and returns the labels, for use with SelectColumn. The UDF calls are
-// charged to the provided meter (wrap the raw UDF first so the cost is
-// accounted once).
-//
-//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use LabelFractionParallelCtx
-func LabelFraction(rows []int, fraction float64, udf UDF, rng Labeler) map[int]bool {
-	labeled, _ := LabelFractionParallelCtx(context.Background(), rows, fraction, udf, rng, 1)
-	return labeled
-}
-
-// LabelFractionParallelCtx is LabelFraction with the UDF calls fanned
-// across up to `parallelism` workers (≤ 0 means GOMAXPROCS), honoring a
-// context. The sample is drawn from the RNG before any evaluation starts,
-// so the labeled set — and the RNG stream seen by later phases — is
-// identical at any parallelism level. A cancel mid-labeling returns
-// (nil, ctx.Err()) without handing back a partial label map.
+// LabelFractionParallelCtx evaluates the UDF on a uniform random fraction
+// of all rows and returns the labels, for use with SelectColumn. The UDF
+// calls are charged to the provided meter (wrap the raw UDF first so the
+// cost is accounted once) and fan across up to `parallelism` workers
+// (≤ 0 means GOMAXPROCS), honoring a context. The sample is drawn from the
+// RNG before any evaluation starts, so the labeled set — and the RNG
+// stream seen by later phases — is identical at any parallelism level. A
+// cancel mid-labeling returns (nil, ctx.Err()) without handing back a
+// partial label map.
 func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, udf UDF, rng Labeler, parallelism int) (map[int]bool, error) {
 	k := int(math.Ceil(fraction * float64(len(rows))))
 	picks := rng.SampleWithoutReplacement(len(rows), k)
@@ -124,7 +116,7 @@ func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64,
 	}
 	labeled := make(map[int]bool, len(work))
 	for j, row := range work {
-		if failed != nil && failed[j] {
+		if failed[j] {
 			// A failed evaluation is no label: excluding the row keeps the
 			// discovery evidence honest under a flaky UDF.
 			continue

@@ -15,9 +15,9 @@ import (
 // lives in twopred.go; this file provides the N-ary substrate the planner
 // layer composes for every other conjunction shape:
 //
-//   - SampleConjunctionParallelCtx — fused sampling of all N predicates
-//     over a few rows per group (sampling never short-circuits: joint
-//     statistics need every outcome);
+//   - SampleConjunctionParallelCtx — sampling of all N predicates over a
+//     few rows per group (sampling never short-circuits: joint statistics
+//     need every outcome);
 //   - OrderPredicates — the classic greedy cheapest-first ordering by
 //     cost/(1−selectivity), using the sampled selectivity estimates;
 //   - ExecuteConjunctionWavesParallelCtx — short-circuit waves over the
@@ -42,12 +42,12 @@ type ConjSample struct {
 }
 
 // SampleConjunctionParallelCtx evaluates every predicate on targets[i]
-// random tuples of each group, fusing all N×rows evaluations into a single
-// pooled wave. It returns the per-group samples plus pooled per-predicate
-// selectivity estimates (Beta-posterior means over all sampled rows) for
-// greedy ordering. The sample rows are drawn from the RNG up front, so the
-// sampled sets are identical at any parallelism level; a cancel returns
-// ctx.Err() with no partial samples.
+// random tuples of each group, one gated batch per predicate. It returns
+// the per-group samples plus pooled per-predicate selectivity estimates
+// (Beta-posterior means over all sampled rows) for greedy ordering. The
+// sample rows are drawn from the RNG up front, so the sampled sets are
+// identical at any parallelism level; a cancel returns ctx.Err() with no
+// partial samples.
 func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets []int, udfs []UDF, rng *stats.RNG, parallelism int) ([]ConjSample, []float64, error) {
 	if len(targets) != len(groups) {
 		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
@@ -69,48 +69,29 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 			groupOf = append(groupOf, i)
 		}
 	}
-	// Evaluate: all predicates over all sampled rows as one pooled batch
-	// (predicate-major), so wide pools amortize N sequential barriers into
-	// one. Resilient UDFs instead run one gated batch per predicate — the
-	// breaker needs sequential fold points — and any row with a failed
-	// predicate is dropped from the sample entirely (joint statistics need
-	// every outcome of a row, so a partial row is no evidence).
+	// Evaluate: one gated batch per predicate (sampling never
+	// short-circuits, so every predicate sees every sampled row). Any row
+	// with a failed predicate is dropped from the sample entirely: joint
+	// statistics need every outcome of a row, so a partial row is no
+	// evidence.
 	n := len(work)
+	if n == 0 {
+		// An empty batch makes no ctx checks; normalize.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+	}
+	pool := exec.NewPool(parallelism)
 	verdicts := make([][]bool, len(udfs))
 	failedAny := make([]bool, n)
-	if anyResilient(udfs...) {
-		pool := exec.NewPool(parallelism)
-		for j := range udfs {
-			vj, fj, err := EvalRowsResilient(ctx, pool, work, udfs[j])
-			if err != nil {
-				return nil, nil, err
-			}
-			verdicts[j] = vj
-			for k := range fj {
-				if fj[k] {
-					failedAny[k] = true
-				}
-			}
-		}
-		if n == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else {
-		for j := range verdicts {
-			verdicts[j] = make([]bool, n)
-		}
-		err := exec.NewPool(parallelism).ForEachCtx(ctx, n*len(udfs), func(i int) {
-			j, k := i/n, i%n
-			verdicts[j][k] = udfs[j].Eval(work[k])
-		})
-		if n == 0 {
-			// ForEachCtx over zero items never checks ctx; normalize.
-			err = ctx.Err()
-		}
+	for j := range udfs {
+		vj, fj, err := EvalRowsResilient(ctx, pool, work, udfs[j])
 		if err != nil {
 			return nil, nil, err
+		}
+		verdicts[j] = vj
+		for k, f := range fj {
+			failedAny[k] = failedAny[k] || f
 		}
 	}
 	kept := 0

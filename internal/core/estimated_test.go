@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -190,14 +191,14 @@ func TestEstimatedEmpiricalSatisfaction(t *testing.T) {
 		meter := NewMeter(UDFFunc(truth))
 		sampler := NewSampler(groups, meter, rng.Split())
 		sizes := []int{800, 800, 800}
-		if _, err := sampler.TopUp(TwoThirdPowerAllocator{Num: 2.0}.Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(context.Background(), TwoThirdPowerAllocator{Num: 2.0}.Allocate(sizes)); err != nil {
 			t.Fatal(err)
 		}
 		strat, err := PlanWithSamples(sampler.Infos(), cons, DefaultCost)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec, err := Execute(groups, strat, sampler.Outcomes(), meter, DefaultCost, rng.Split())
+		exec, err := ExecuteParallelCtx(context.Background(), groups, strat, sampler.Outcomes(), meter, DefaultCost, rng.Split(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

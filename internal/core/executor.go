@@ -43,15 +43,6 @@ type ExecResult struct {
 	Cost float64
 }
 
-// Execute runs the strategy over the groups on the calling goroutine. It
-// is ExecuteParallelCtx at parallelism 1 without cancellation, kept for
-// the (many) sequential callers in the experiment harness.
-//
-//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use ExecuteParallelCtx
-func Execute(groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG) (ExecResult, error) {
-	return ExecuteParallelCtx(context.Background(), groups, s, samples, udf, cost, rng, 1)
-}
-
 // execSlot is one potential output position produced by the plan phase:
 // either an unconditional emit (evalIdx < 0) or a slot whose inclusion
 // depends on the verdict of work-list item evalIdx.
@@ -61,7 +52,8 @@ type execSlot struct {
 }
 
 // ExecuteParallelCtx runs the strategy over the groups, fanning UDF calls
-// across up to `parallelism` workers (≤ 0 means GOMAXPROCS). samples may
+// across up to `parallelism` workers (≤ 0 means GOMAXPROCS; 1 runs every
+// call on the calling goroutine). samples may
 // be nil (no sampling phase) or hold one entry per group; sampled rows are
 // not re-retrieved or re-evaluated — their recorded outcome decides
 // membership. The RNG drives the per-tuple coins; all draws happen in the
@@ -118,7 +110,7 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 	}
 
 	// Evaluate: fan the expensive calls out, then merge in plan order. A
-	// failed resilient evaluation carries verdict false, so failed rows are
+	// failed evaluation carries verdict false, so failed rows are
 	// excluded from the output below without extra bookkeeping.
 	verdicts, _, err := EvalRowsResilient(ctx, exec.NewPool(parallelism), work, udf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stats"
@@ -30,7 +31,7 @@ func totalCorrect(labels []bool) int {
 func TestRunIntelSampleEndToEnd(t *testing.T) {
 	rng := stats.NewRNG(601)
 	in, labels, truth := testInstance(rng)
-	res, err := RunIntelSample(in, RunOptions{RNG: rng.Split()})
+	res, err := RunIntelSample(context.Background(), in, RunOptions{RNG: rng.Split()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRunIntelSampleSatisfactionRate(t *testing.T) {
 	ok := 0
 	for i := 0; i < runs; i++ {
 		in, labels, truth := testInstance(rng.Split())
-		res, err := RunIntelSample(in, RunOptions{RNG: rng.Split()})
+		res, err := RunIntelSample(context.Background(), in, RunOptions{RNG: rng.Split()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestRunIntelSampleSatisfactionRate(t *testing.T) {
 func TestRunIntelSampleAdaptive(t *testing.T) {
 	rng := stats.NewRNG(605)
 	in, labels, truth := testInstance(rng)
-	res, err := RunIntelSample(in, RunOptions{RNG: rng.Split(), Adaptive: true})
+	res, err := RunIntelSample(context.Background(), in, RunOptions{RNG: rng.Split(), Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,22 +100,22 @@ func TestRunIntelSampleAdaptive(t *testing.T) {
 func TestRunIntelSampleValidation(t *testing.T) {
 	rng := stats.NewRNG(607)
 	in, _, _ := testInstance(rng)
-	if _, err := RunIntelSample(in, RunOptions{}); err == nil {
+	if _, err := RunIntelSample(context.Background(), in, RunOptions{}); err == nil {
 		t.Fatal("missing RNG accepted")
 	}
 	bad := in
 	bad.Groups = nil
-	if _, err := RunIntelSample(bad, RunOptions{RNG: rng}); err == nil {
+	if _, err := RunIntelSample(context.Background(), bad, RunOptions{RNG: rng}); err == nil {
 		t.Fatal("empty instance accepted")
 	}
 	bad = in
 	bad.UDF = nil
-	if _, err := RunIntelSample(bad, RunOptions{RNG: rng}); err == nil {
+	if _, err := RunIntelSample(context.Background(), bad, RunOptions{RNG: rng}); err == nil {
 		t.Fatal("nil UDF accepted")
 	}
 	bad = in
 	bad.Cons.Alpha = 7
-	if _, err := RunIntelSample(bad, RunOptions{RNG: rng}); err == nil {
+	if _, err := RunIntelSample(context.Background(), bad, RunOptions{RNG: rng}); err == nil {
 		t.Fatal("invalid constraints accepted")
 	}
 }
@@ -142,7 +143,7 @@ func TestRunNaive(t *testing.T) {
 func TestRunPerfectSelectivities(t *testing.T) {
 	rng := stats.NewRNG(611)
 	in, labels, truth := testInstance(rng)
-	res, err := RunPerfectSelectivities(in, truth, rng.Split())
+	res, err := RunPerfectSelectivities(context.Background(), in, truth, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRunPerfectSelectivities(t *testing.T) {
 	}
 	// With free perfect knowledge, Optimal should beat Intel-Sample on
 	// total evaluations (which pays for sampling).
-	intel, err := RunIntelSample(in, RunOptions{RNG: rng.Split()})
+	intel, err := RunIntelSample(context.Background(), in, RunOptions{RNG: rng.Split()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -53,7 +54,7 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		return samples
 	}
 
-	seq, err := Execute(groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7))
+	seq, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestSamplerTopUpParallelMatchesSequential(t *testing.T) {
 		groups, udf := parallelTestGroups(1200)
 		s := NewSampler(groups, udf, stats.NewRNG(11))
 		s.SetParallelism(parallelism)
-		if _, err := s.TopUp([]int{40, 25, 60}); err != nil {
+		if _, err := s.TopUpCtx(context.Background(), []int{40, 25, 60}); err != nil {
 			t.Fatal(err)
 		}
 		// A second top-up exercises the incremental path.
-		if _, err := s.TopUp([]int{55, 55, 60}); err != nil {
+		if _, err := s.TopUpCtx(context.Background(), []int{55, 55, 60}); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -100,7 +101,10 @@ func TestLabelFractionParallelMatchesSequential(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	seq := LabelFraction(rows, 0.05, udf, stats.NewRNG(3))
+	seq, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	par, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +119,11 @@ func TestTwoPredicatesParallelMatchesSequential(t *testing.T) {
 	udf2 := UDFFunc(func(row int) bool { return row%2 == 0 })
 	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
 
-	seq, actsSeq, err := RunTwoPredicates(groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5))
+	seq, actsSeq, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, actsPar, err := RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5), 8)
+	par, actsPar, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestCachedMeterSkipsCharging(t *testing.T) {
 		return row > 10
 	})
 
-	m1 := NewCachedMeter(udf, cache)
+	m1 := NewResilientMeter(infallible{udf}, cache, nil, nil)
 	for row := 0; row < 20; row++ {
 		m1.Eval(row)
 	}
@@ -181,7 +185,7 @@ func TestCachedMeterSkipsCharging(t *testing.T) {
 	}
 
 	// A second query's meter over the same cache pays nothing.
-	m2 := NewCachedMeter(udf, cache)
+	m2 := NewResilientMeter(infallible{udf}, cache, nil, nil)
 	for row := 0; row < 20; row++ {
 		if got := m2.Eval(row); got != (row > 10) {
 			t.Fatalf("cached verdict wrong for row %d", row)
@@ -198,30 +202,53 @@ func TestCachedMeterSkipsCharging(t *testing.T) {
 }
 
 func TestMeterPanicDoesNotPoisonMemo(t *testing.T) {
-	first := true
-	udf := UDFFunc(func(row int) bool {
-		if row == 3 && first {
-			first = false
-			panic("transient")
-		}
-		return row%2 == 1
-	})
-	m := NewMeter(udf)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic did not propagate")
-			}
-		}()
-		m.Eval(3)
-	}()
-	if _, ok := m.Known(3); ok {
-		t.Fatal("failed evaluation left a memo entry")
+	builds := []struct {
+		name  string
+		build func(UDF) *Meter
+	}{
+		{"NewMeter", NewMeter},
+		{"NewResilientMeter", func(u UDF) *Meter {
+			return NewResilientMeter(fallibleFunc(func(_ context.Context, row int) (bool, error) {
+				return u.Eval(row), nil
+			}), nil, nil, nil)
+		}},
 	}
-	// A retry must re-invoke the UDF and get the genuine verdict, not the
-	// zero-value false.
-	if !m.Eval(3) {
-		t.Fatal("retry inherited the failed evaluation's zero verdict")
+	for _, tc := range builds {
+		build := tc.build
+		t.Run(tc.name, func(t *testing.T) {
+			first := true
+			m := build(UDFFunc(func(row int) bool {
+				if row == 3 && first {
+					first = false
+					panic("transient")
+				}
+				return row%2 == 1
+			}))
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("panic did not propagate")
+					}
+				}()
+				m.Eval(3)
+			}()
+			if _, ok := m.Known(3); ok {
+				t.Fatal("failed evaluation left a memo entry")
+			}
+			// A retry must re-invoke the UDF and get the genuine verdict,
+			// not the zero-value false — and must not block on the
+			// panicked evaluation's slot.
+			retry := make(chan bool, 1)
+			go func() { retry <- m.Eval(3) }()
+			select {
+			case v := <-retry:
+				if !v {
+					t.Fatal("retry inherited the failed evaluation's zero verdict")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("retry blocked on the panicked evaluation's slot")
+			}
+		})
 	}
 }
 

@@ -10,13 +10,11 @@ import (
 
 // Resilient evaluation: the core algorithms (sampling, labeling, the
 // probabilistic executor, conjunction waves) evaluate UDFs through the
-// EvalRowsResilient helper below. For a plain UDF it degenerates to the
-// classic pooled batch — zero overhead, nil failure flags. For a
-// ResilientUDF (in practice: a Meter built with NewResilientMeter) the
-// batch runs gated: per-row failure flags come back, an attached circuit
-// breaker decides admissions segment by segment, and every caller excludes
-// failed rows from its evidence (samples, labels, output) so a flaky UDF
-// degrades a query instead of poisoning it.
+// EvalRowsResilient helper below, which runs one gated batch: per-row
+// failure flags come back, the meter's circuit breaker (if any) decides
+// admissions segment by segment, and every caller excludes failed rows
+// from its evidence (samples, labels, output) so a flaky UDF degrades a
+// query instead of poisoning it.
 
 // FallibleUDF is a row evaluator that can fail. Implementations perform
 // their own retries (see resilience.Do); an error here is final for the
@@ -26,50 +24,17 @@ type FallibleUDF interface {
 	EvalErr(ctx context.Context, row int) (bool, error)
 }
 
-// ResilientUDF is a UDF that distinguishes failed evaluations and
-// optionally carries a circuit-breaker gate. *Meter implements it when
-// built with NewResilientMeter.
-type ResilientUDF interface {
-	UDF
-	// Resilient reports whether evaluations can actually fail. Every *Meter
-	// carries these methods, so batch helpers use this — not the type
-	// assertion alone — to decide between the gated path and the (faster,
-	// fused) legacy paths.
-	Resilient() bool
-	// EvalFallible evaluates the row, reporting (verdict, failed). A failed
-	// row always carries verdict false.
-	EvalFallible(ctx context.Context, row int) (verdict, failed bool)
-	// ResolveDenied resolves a breaker-denied row without invoking: from
-	// the memo or shared cache when the outcome is already known, else as a
-	// failure.
-	ResolveDenied(row int) (verdict, failed bool)
-	// Gate returns the circuit breaker steering gated batches (nil = none).
-	Gate() exec.Gate
-}
-
-// EvalRowsResilient evaluates rows under udf honoring ctx. When udf is
-// resilient the batch runs gated and the second slice flags failed rows;
-// otherwise it is a plain pooled batch and the failure slice is nil. On
-// cancellation all outputs are withheld: (nil, nil, ctx.Err()).
+// EvalRowsResilient evaluates rows under udf honoring ctx as one gated
+// batch; the second slice flags failed rows. A *Meter steers the batch
+// with its circuit breaker (if any) and evaluates through its
+// single-flight body; any other UDF is evaluated as infallible with no
+// gate. On cancellation all outputs are withheld: (nil, nil, ctx.Err()).
 func EvalRowsResilient(ctx context.Context, pool *exec.Pool, rows []int, udf UDF) ([]bool, []bool, error) {
-	if r, ok := udf.(ResilientUDF); ok && r.Resilient() {
-		return pool.EvalRowsGatedCtx(ctx, rows, r.Gate(), r.EvalFallible, r.ResolveDenied)
+	if m, ok := udf.(*Meter); ok {
+		return pool.EvalRowsGatedCtx(ctx, rows, m.gate, m.EvalFallible, m.ResolveDenied)
 	}
-	verdicts, err := pool.EvalRowsCtx(ctx, rows, udf.Eval)
-	if err != nil {
-		return nil, nil, err
-	}
-	return verdicts, nil, nil
-}
-
-// anyResilient reports whether any of the UDFs needs the gated path.
-func anyResilient(udfs ...UDF) bool {
-	for _, u := range udfs {
-		if r, ok := u.(ResilientUDF); ok && r.Resilient() {
-			return true
-		}
-	}
-	return false
+	eval := func(_ context.Context, row int) (bool, bool) { return udf.Eval(row), false }
+	return pool.EvalRowsGatedCtx(ctx, rows, nil, eval, nil)
 }
 
 // NewResilientMeter wraps a fallible row evaluator with the standard meter
@@ -82,34 +47,26 @@ func anyResilient(udfs ...UDF) bool {
 // (EvalRowsResilient); denied rows resolve from the memo or cache when
 // known and fail otherwise. Both gate and onFailure may be nil.
 func NewResilientMeter(fudf FallibleUDF, cache EvalCache, gate exec.Gate, onFailure func(row int, err error)) *Meter {
-	m := &Meter{fudf: fudf, memo: make(map[int]*meterEntry)}
-	m.shared = cache
-	m.gate = gate
-	m.onFailure = onFailure
-	return m
+	return &Meter{fudf: fudf, shared: cache, gate: gate, onFailure: onFailure, memo: make(map[int]*meterEntry)}
 }
 
-// Gate implements ResilientUDF.
+// Gate returns the circuit breaker steering the meter's gated batches
+// (nil = none).
 func (m *Meter) Gate() exec.Gate { return m.gate }
 
-// Resilient implements ResilientUDF: a plain meter (no fallible body, no
-// gate) reports false so batch helpers keep the fast fused paths.
-func (m *Meter) Resilient() bool { return m.fudf != nil || m.gate != nil }
-
-// EvalFallible implements ResilientUDF: single-flight evaluation through
-// the fallible path. Failure handling:
+// EvalFallible is the meter's single-flight evaluation, reporting
+// (verdict, failed); a failed row always carries verdict false. Failure
+// handling:
 //
 //   - a genuine failure memoizes the row as failed-final (every later
 //     phase of the query sees the same exclusion), skips the charge and the
 //     cache store, and fires onFailure once;
-//   - a cancellation (the batch is aborting) forgets the row like the
-//     legacy panic path — a later run of the query must re-evaluate it.
+//   - a cancellation (the batch is aborting) forgets the row — a later run
+//     of the query must re-evaluate it;
+//   - a panic in the evaluator (or the shared cache) forgets the row too,
+//     releases waiters flagged failed so they retry rather than inherit a
+//     zero-value verdict, and propagates to the caller.
 func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
-	if m.fudf == nil {
-		// Plain meter reached through a resilient call site: nothing can
-		// fail, delegate to the classic path.
-		return m.Eval(row), false
-	}
 	var e *meterEntry
 	for {
 		m.mu.Lock()
@@ -117,7 +74,8 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 			m.mu.Unlock()
 			<-cur.done
 			if cur.failed {
-				// The owner was cancelled; the row was forgotten — retry.
+				// The owner panicked or was cancelled; the row was
+				// forgotten — retry.
 				continue
 			}
 			return cur.val, cur.errFinal
@@ -128,25 +86,28 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 		break
 	}
 
+	completed := false
+	defer func() {
+		if !completed {
+			m.forget(row, e)
+		}
+	}()
 	if m.shared != nil {
 		if v, ok := m.shared.Lookup(row); ok {
 			m.cacheHits.Add(1)
 			e.val = v
+			completed = true
 			close(e.done)
 			return v, false
 		}
 		m.cacheMisses.Add(1)
 	}
 	v, err := m.fudf.EvalErr(ctx, row)
+	completed = true
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Batch abort, not a row failure: forget the row so a later run
-			// re-evaluates, and flag waiters to retry.
-			e.failed = true
-			m.mu.Lock()
-			delete(m.memo, row)
-			m.mu.Unlock()
-			close(e.done)
+			// Batch abort, not a row failure.
+			m.forget(row, e)
 			return false, true
 		}
 		e.errFinal = true
@@ -165,8 +126,18 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 	return v, false
 }
 
-// ResolveDenied implements ResilientUDF: resolve a breaker-denied row
-// without invoking the UDF. A row whose outcome is already memoized or
+// forget drops row's in-flight slot e so a later evaluation starts afresh,
+// and releases its waiters flagged failed so they retry.
+func (m *Meter) forget(row int, e *meterEntry) {
+	e.failed = true
+	m.mu.Lock()
+	delete(m.memo, row)
+	m.mu.Unlock()
+	close(e.done)
+}
+
+// ResolveDenied resolves a breaker-denied row without invoking the UDF,
+// reporting (verdict, failed). A row whose outcome is already memoized or
 // cached resolves normally (denial costs nothing); otherwise the row is
 // memoized as failed-final so the whole query treats it consistently, and
 // onFailure fires with resilience.ErrBreakerOpen.

@@ -137,23 +137,15 @@ func TestResolveDeniedServesMemoAndCache(t *testing.T) {
 	}
 }
 
-func TestPlainMeterNotResilient(t *testing.T) {
-	m := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
-	if m.Resilient() {
-		t.Fatal("plain meter must not report resilient")
+func TestMeterKnownFailedRowIsUnknown(t *testing.T) {
+	m := NewResilientMeter(fallibleFunc(func(context.Context, int) (bool, error) {
+		return false, errors.New("down")
+	}), nil, nil, nil)
+	if v, failed := m.EvalFallible(context.Background(), 4); v || !failed {
+		t.Fatalf("EvalFallible = (%v, %v), want (false, true)", v, failed)
 	}
-	if anyResilient(m) {
-		t.Fatal("anyResilient(plain meter) = true")
-	}
-	// EvalRowsResilient degenerates to the classic batch: nil failure slice.
-	v, f, err := EvalRowsResilient(context.Background(), exec.NewPool(2), []int{0, 1, 2, 3}, m)
-	if err != nil || f != nil {
-		t.Fatalf("plain path: f=%v err=%v, want nil failure slice", f, err)
-	}
-	for i, want := range []bool{true, false, true, false} {
-		if v[i] != want {
-			t.Fatalf("row %d: verdict %v", i, v[i])
-		}
+	if v, ok := m.Known(4); ok {
+		t.Fatalf("Known(failed row) = (%v, %v), want not known", v, ok)
 	}
 }
 

@@ -104,7 +104,7 @@ type Sampler struct {
 	priors int
 }
 
-// SetParallelism sets the worker cap for UDF evaluation during TopUp
+// SetParallelism sets the worker cap for UDF evaluation during TopUpCtx
 // (≤ 0 means GOMAXPROCS, 1 means sequential).
 func (s *Sampler) SetParallelism(p int) { s.parallelism = p }
 
@@ -174,26 +174,20 @@ func (s *Sampler) SeedPrior(known map[int]bool) int {
 	return seeded
 }
 
-// TopUp raises each group's sampled count to targets[i] (no-op for groups
-// already at or above target), evaluating the UDF on newly sampled rows.
-// It returns the number of new evaluations performed.
+// TopUpCtx raises each group's sampled count to targets[i] (no-op for
+// groups already at or above target), evaluating the UDF on newly sampled
+// rows, honoring a context. It returns the number of new evaluations
+// performed.
 //
-// TopUp is plan/evaluate split: the rows to sample are popped sequentially
-// from the pre-shuffled per-group pools (no RNG is consumed), the UDF runs
-// over the whole batch on up to SetParallelism workers, and outcomes are
-// recorded in pop order — so the sampler's state after TopUp is identical
-// at any parallelism level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use TopUpCtx
-func (s *Sampler) TopUp(targets []int) (int, error) {
-	return s.TopUpCtx(context.Background(), targets)
-}
-
-// TopUpCtx is TopUp honoring a context. The sampler's state mutates only
+// TopUpCtx is plan/evaluate split: the rows to sample are popped
+// sequentially from the pre-shuffled per-group pools (no RNG is consumed),
+// the UDF runs over the whole batch on up to SetParallelism workers, and
+// outcomes are recorded in pop order — so the sampler's state afterwards
+// is identical at any parallelism level. The sampler's state mutates only
 // after the whole batch evaluated successfully: a cancelled top-up returns
-// ctx.Err() with the un-sampled pools and outcomes exactly as they were, so
-// the sampler (and any shared meter beneath the UDF) stays reusable — a
-// later TopUp over the same targets re-plans the identical batch.
+// ctx.Err() with the un-sampled pools and outcomes exactly as they were,
+// so the sampler (and any shared meter beneath the UDF) stays reusable — a
+// later top-up over the same targets re-plans the identical batch.
 func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(targets) != len(s.groups) {
 		return 0, fmt.Errorf("core: %d targets for %d groups", len(targets), len(s.groups))
@@ -218,7 +212,7 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		take[i] = want
 	}
 	// Evaluate in parallel; commit (pop + record) only on full success.
-	// Rows whose resilient evaluation failed are popped (so they are not
+	// Rows whose evaluation failed are popped (so they are not
 	// endlessly re-planned) but recorded as NOTHING: failed invocations
 	// must never become sampling evidence, and a later top-up to the same
 	// target simply samples replacement rows.
@@ -230,7 +224,7 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		s.unsampled[i] = s.unsampled[i][:len(s.unsampled[i])-k]
 	}
 	for k, row := range work {
-		if failed != nil && failed[k] {
+		if failed[k] {
 			continue
 		}
 		i := groupOf[k]
@@ -306,8 +300,8 @@ func (o *AdaptiveOptions) fill(alpha float64) {
 // planned execution). When the cost estimate has risen Patience times in a
 // row, stop. The sampler retains all evaluations, so the final state is
 // ready for planning and execution. Returns the num value whose cost
-// estimate was lowest.
-func AdaptiveTwoThirdPower(s *Sampler, cons Constraints, cost CostModel, opts AdaptiveOptions) (float64, error) {
+// estimate was lowest. A cancel returns ctx.Err().
+func AdaptiveTwoThirdPower(ctx context.Context, s *Sampler, cons Constraints, cost CostModel, opts AdaptiveOptions) (float64, error) {
 	opts.fill(cons.Alpha)
 	sizes := make([]int, len(s.groups))
 	for i, g := range s.groups {
@@ -319,7 +313,7 @@ func AdaptiveTwoThirdPower(s *Sampler, cons Constraints, cost CostModel, opts Ad
 	prev := math.Inf(1)
 	for num := opts.StartNum; num <= opts.MaxNum; num *= opts.GrowthFactor {
 		alloc := TwoThirdPowerAllocator{Num: num}.Allocate(sizes)
-		if _, err := s.TopUp(alloc); err != nil {
+		if _, err := s.TopUpCtx(ctx, alloc); err != nil {
 			return bestNum, err
 		}
 		infos := s.Infos()

@@ -22,22 +22,14 @@ type TwoPredSample struct {
 	Pos1, Pos2, PosBoth int
 }
 
-// SampleTwoPredicates evaluates both UDFs on `targets[i]` random tuples of
-// each group and returns per-group samples plus TwoPredGroup estimates
-// (Beta-posterior means over the remaining tuples). Evaluations are
-// charged through the provided UDFs (wrap them in meters).
-//
-//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use SampleTwoPredicatesParallelCtx
-func SampleTwoPredicates(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG) ([]TwoPredSample, []TwoPredGroup, error) {
-	return SampleTwoPredicatesParallelCtx(context.Background(), groups, targets, udf1, udf2, rng, 1)
-}
-
-// SampleTwoPredicatesParallelCtx is SampleTwoPredicates with both
-// predicates' evaluations fanned across up to `parallelism` workers,
-// honoring a context. All sampled rows are drawn from the RNG up front
-// (sequentially), so the sampled sets and estimates are identical at any
-// parallelism level; a cancel during evaluation returns ctx.Err() with no
-// partial samples.
+// SampleTwoPredicatesParallelCtx evaluates both UDFs on `targets[i]`
+// random tuples of each group and returns per-group samples plus
+// TwoPredGroup estimates (Beta-posterior means over the remaining tuples).
+// Evaluations are charged through the provided UDFs (wrap them in meters)
+// and fan across up to `parallelism` workers, honoring a context. All
+// sampled rows are drawn from the RNG up front (sequentially), so the
+// sampled sets and estimates are identical at any parallelism level; a
+// cancel during evaluation returns ctx.Err() with no partial samples.
 func SampleTwoPredicatesParallelCtx(ctx context.Context, groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG, parallelism int) ([]TwoPredSample, []TwoPredGroup, error) {
 	if len(targets) != len(groups) {
 		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
@@ -57,19 +49,22 @@ func SampleTwoPredicatesParallelCtx(ctx context.Context, groups []Group, targets
 			groupOf = append(groupOf, i)
 		}
 	}
-	// Evaluate both predicates over the batch (sampling never
-	// short-circuits: joint selectivities need both outcomes). The two
-	// lists are independent, so they run fused as one wave — two
-	// sequential barriers would double the latency for I/O-bound UDFs.
-	// A row with a failed resilient evaluation under either predicate is
+	// Evaluate both predicates over the batch, one gated batch each
+	// (sampling never short-circuits: joint selectivities need both
+	// outcomes). A row with a failed evaluation under either predicate is
 	// dropped from the sample entirely: joint statistics need both
 	// outcomes, so a partial row is no evidence.
-	v1s, f1s, v2s, f2s, err := evalFused(ctx, work, udf1, work, udf2, parallelism)
+	pool := exec.NewPool(parallelism)
+	v1s, f1s, err := EvalRowsResilient(ctx, pool, work, udf1)
+	if err != nil {
+		return nil, nil, err
+	}
+	v2s, f2s, err := EvalRowsResilient(ctx, pool, work, udf2)
 	if err != nil {
 		return nil, nil, err
 	}
 	for k, row := range work {
-		if (f1s != nil && f1s[k]) || (f2s != nil && f2s[k]) {
+		if f1s[k] || f2s[k] {
 			continue
 		}
 		i := groupOf[k]
@@ -96,41 +91,6 @@ func SampleTwoPredicatesParallelCtx(ctx context.Context, groups []Group, targets
 	return samples, infos, nil
 }
 
-// evalFused evaluates two independent work-lists (rows1 under udf1, rows2
-// under udf2) as a single pooled batch, returning each list's verdicts
-// (and, for resilient UDFs, per-row failure flags — nil otherwise) in
-// order. One batch instead of two sequential barriers halves wall-clock
-// latency when the pool is wider than either list alone; resilient UDFs
-// instead run one gated batch per predicate, since the breaker needs
-// sequential fold points. A cancel returns ctx.Err() with all slices nil.
-func evalFused(ctx context.Context, rows1 []int, udf1 UDF, rows2 []int, udf2 UDF, parallelism int) (v1, f1, v2, f2 []bool, err error) {
-	if anyResilient(udf1, udf2) {
-		pool := exec.NewPool(parallelism)
-		v1, f1, err = EvalRowsResilient(ctx, pool, rows1, udf1)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		v2, f2, err = EvalRowsResilient(ctx, pool, rows2, udf2)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return v1, f1, v2, f2, nil
-	}
-	v1 = make([]bool, len(rows1))
-	v2 = make([]bool, len(rows2))
-	err = exec.NewPool(parallelism).ForEachCtx(ctx, len(rows1)+len(rows2), func(i int) {
-		if i < len(rows1) {
-			v1[i] = udf1.Eval(rows1[i])
-		} else {
-			v2[i-len(rows1)] = udf2.Eval(rows2[i-len(rows1)])
-		}
-	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return v1, nil, v2, nil, nil
-}
-
 // TwoPredExecResult is the outcome of executing a two-predicate plan.
 type TwoPredExecResult struct {
 	Output    []int
@@ -139,24 +99,10 @@ type TwoPredExecResult struct {
 	// execution per predicate (excluding sampling).
 	Evaluated1, Evaluated2 int
 	Cost                   float64
-}
-
-// ExecuteTwoPredicates runs the per-group actions. Rows fully evaluated
-// during sampling are resolved from their recorded outcomes at no extra
-// cost (they are returned iff both predicates held). samples may be nil.
-//
-// Action semantics per remaining tuple:
-//
-//	TPDiscard       skip
-//	TPAssumeBoth    retrieve, return
-//	TPEval1Assume2  retrieve, evaluate f1, return iff f1
-//	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
-//	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
-//	                return iff both
-//
-//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use ExecuteTwoPredicatesParallelCtx
-func ExecuteTwoPredicates(groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel) (TwoPredExecResult, error) {
-	return ExecuteTwoPredicatesParallelCtx(context.Background(), groups, acts, samples, udf1, udf2, cost, 1)
+	// Sampled counts the rows sampled with both outcomes known. Only
+	// RunTwoPredicatesParallelCtx sets it, and it then also folds the
+	// sampling work into Retrieved, Evaluated1/2 and Cost.
+	Sampled int
 }
 
 // tpKind classifies what a two-predicate output slot still needs.
@@ -176,14 +122,27 @@ type tpSlot struct {
 	idx1, idx2 int
 }
 
-// ExecuteTwoPredicatesParallelCtx is ExecuteTwoPredicates with the UDF
-// calls batched and fanned across up to `parallelism` workers, honoring a
-// context. Evaluation runs in waves — all needed f1 calls and
-// unconditional f2 calls first, then f2 on the f1 survivors of TPEvalBoth
-// groups — so the sequential short-circuit accounting (f2 is never charged
-// for rows f1 rejected) is preserved exactly, as are output order and all
-// counters. A cancel in either evaluation wave returns ctx.Err() and an
-// empty result.
+// ExecuteTwoPredicatesParallelCtx runs the per-group actions. Rows fully
+// evaluated during sampling are resolved from their recorded outcomes at
+// no extra cost (they are returned iff both predicates held). samples may
+// be nil.
+//
+// Action semantics per remaining tuple:
+//
+//	TPDiscard       skip
+//	TPAssumeBoth    retrieve, return
+//	TPEval1Assume2  retrieve, evaluate f1, return iff f1
+//	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
+//	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
+//	                return iff both
+//
+// The UDF calls are batched and fanned across up to `parallelism`
+// workers, honoring a context. Evaluation runs in waves — all needed f1
+// calls, then the unconditional f2 calls, then f2 on the f1 survivors of
+// TPEvalBoth groups — so the short-circuit accounting (f2 is never
+// charged for rows f1 rejected) holds exactly, and output order and all
+// counters are identical at any parallelism level. A cancel in any
+// evaluation wave returns ctx.Err() and an empty result.
 func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
 	if len(acts) != len(groups) {
 		return TwoPredExecResult{}, fmt.Errorf("core: %d actions for %d groups", len(acts), len(groups))
@@ -233,11 +192,15 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 		}
 	}
 
-	// Wave 1: every needed f1 call plus the unconditional f2 calls, fused
-	// into one batch since the two lists are independent. Failed resilient
-	// evaluations carry verdict false, so failed rows drop out of the
-	// output (and, for TPEvalBoth, never reach the f2 wave).
-	v1, _, v2, _, err := evalFused(ctx, work1, udf1, work2, udf2, parallelism)
+	// Wave 1: every needed f1 call, then the unconditional f2 calls.
+	// Failed evaluations carry verdict false, so failed rows drop out of
+	// the output (and, for TPEvalBoth, never reach the f2 wave).
+	pool := exec.NewPool(parallelism)
+	v1, _, err := EvalRowsResilient(ctx, pool, work1, udf1)
+	if err != nil {
+		return TwoPredExecResult{}, err
+	}
+	v2, _, err := EvalRowsResilient(ctx, pool, work2, udf2)
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
@@ -256,7 +219,7 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 			sl.idx2 = -1
 		}
 	}
-	v2b, _, err := EvalRowsResilient(ctx, exec.NewPool(parallelism), work2b, udf2)
+	v2b, _, err := EvalRowsResilient(ctx, pool, work2b, udf2)
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
@@ -286,24 +249,18 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	return res, nil
 }
 
-// RunTwoPredicates is the end-to-end pipeline for a conjunction of two
-// expensive predicates: sample both UDFs per group, estimate joint
-// selectivities, plan with PlanTwoPredicates (constraints tightened by
-// Hoeffding margins so the expectation-level plan carries a probabilistic
-// guarantee), and execute. A tuple is correct iff both predicates hold.
-//
-//predlint:allow ctxflow — uncancellable sequential form; cancellable callers use RunTwoPredicatesParallelCtx
-func RunTwoPredicates(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG) (TwoPredExecResult, []TwoPredAction, error) {
-	return RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, cost, alloc, rng, 1)
-}
-
-// RunTwoPredicatesParallelCtx is RunTwoPredicates with sampling and
-// execution fanned across up to `parallelism` workers, honoring a context;
+// RunTwoPredicatesParallelCtx is the end-to-end pipeline for a
+// conjunction of two expensive predicates: sample both UDFs per group,
+// estimate joint selectivities, plan with PlanTwoPredicates (constraints
+// tightened by Hoeffding margins so the expectation-level plan carries a
+// probabilistic guarantee), and execute. A tuple is correct iff both
+// predicates hold. Evaluations are charged to the caller's meters, whose
+// failure, cache and breaker rules apply to every phase. Sampling and
+// execution fan across up to `parallelism` workers, honoring a context;
 // planning stays sequential and results are identical at any parallelism
-// level. Both the sampling wave and the execution waves check the context,
-// so a cancel mid-pipeline returns ctx.Err() after at most one in-flight
-// UDF call per worker.
-func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
+// level. A cancel mid-pipeline returns ctx.Err() after at most one
+// in-flight UDF call per worker.
+func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
 	if alloc == nil {
 		alloc = TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}
 	}
@@ -316,12 +273,12 @@ func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2
 		sizes[i] = len(g.Rows)
 		total += len(g.Rows)
 	}
-	m1 := NewMeter(udf1)
-	m2 := NewMeter(udf2)
+	calls1, calls2 := m1.Calls(), m2.Calls()
 	samples, infos, err := SampleTwoPredicatesParallelCtx(ctx, groups, alloc.Allocate(sizes), m1, m2, rng.Split(), parallelism)
 	if err != nil {
 		return TwoPredExecResult{}, nil, err
 	}
+	evals1, evals2 := m1.Calls()-calls1, m2.Calls()-calls2
 
 	// Expectation-level planning with margin-tightened constraints: shift
 	// α and β by the relative Hoeffding deviations so the realized
@@ -353,15 +310,12 @@ func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2
 		return TwoPredExecResult{}, nil, err
 	}
 	// Fold the sampling work into the accounting.
-	sampledRows, evals1, evals2 := 0, 0, 0
 	for _, s := range samples {
-		sampledRows += len(s.Results)
+		exec.Sampled += len(s.Results)
 	}
-	evals1 = m1.Calls() - exec.Evaluated1
-	evals2 = m2.Calls() - exec.Evaluated2
-	exec.Retrieved += sampledRows
+	exec.Retrieved += exec.Sampled
 	exec.Evaluated1 += evals1
 	exec.Evaluated2 += evals2
-	exec.Cost += float64(sampledRows)*cost.Retrieve + float64(evals1+evals2)*cost.Evaluate
+	exec.Cost += float64(exec.Sampled)*cost.Retrieve + float64(evals1+evals2)*cost.Evaluate
 	return exec, acts, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 	groups, l1, l2 := twoPredWorld(rng, []int{500, 500}, []float64{0.9, 0.2}, []float64{0.7, 0.7})
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	samples, infos, err := SampleTwoPredicates(groups, []int{100, 100}, u1, u2, rng.Split())
+	samples, infos, err := SampleTwoPredicatesParallelCtx(context.Background(), groups, []int{100, 100}, u1, u2, rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 			t.Fatalf("inconsistent counts %+v", s)
 		}
 	}
-	if _, _, err := SampleTwoPredicates(groups, []int{1}, u1, u2, rng); err == nil {
+	if _, _, err := SampleTwoPredicatesParallelCtx(context.Background(), groups, []int{1}, u1, u2, rng, 1); err == nil {
 		t.Fatal("mismatched targets accepted")
 	}
 }
@@ -68,7 +69,7 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 
 	check := func(act TwoPredAction, wantMember func(r int) bool, wantE1, wantE2 int) {
 		t.Helper()
-		res, err := ExecuteTwoPredicates(groups, []TwoPredAction{act}, nil, u1, u2, DefaultCost)
+		res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{act}, nil, u1, u2, DefaultCost, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	for _, row := range groups[0].Rows[:30] {
 		samples[0].Results[row] = [2]bool{l1[row], l2[row]}
 	}
-	res, err := ExecuteTwoPredicates(groups, []TwoPredAction{TPEvalBoth}, samples, u1, u2, DefaultCost)
+	res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, u1, u2, DefaultCost, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +146,13 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5})
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	if _, err := ExecuteTwoPredicates(groups, nil, nil, u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("missing actions accepted")
 	}
-	if _, err := ExecuteTwoPredicates(groups, []TwoPredAction{99}, nil, u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{99}, nil, u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("invalid action accepted")
 	}
-	if _, err := ExecuteTwoPredicates(groups, []TwoPredAction{TPDiscard}, make([]TwoPredSample, 2), u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]TwoPredSample, 2), u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("mismatched samples accepted")
 	}
 }
@@ -165,7 +166,7 @@ func TestRunTwoPredicatesEndToEnd(t *testing.T) {
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	res, acts, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, rng.Split())
+	res, acts, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRunTwoPredicatesEndToEnd(t *testing.T) {
 	if acts[2] == TPEvalBoth || acts[2] == TPAssume1Eval2 {
 		t.Fatalf("wasteful action on dead group: %v", acts)
 	}
-	if _, _, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, nil); err == nil {
+	if _, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, nil, 1); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -210,7 +211,7 @@ func TestRunTwoPredicatesSatisfactionRate(t *testing.T) {
 			[]float64{0.85, 0.7, 0.6})
 		u1 := UDFFunc(func(r int) bool { return l1[r] })
 		u2 := UDFFunc(func(r int) bool { return l2[r] })
-		res, _, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, rng.Split())
+		res, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

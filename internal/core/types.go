@@ -347,15 +347,17 @@ func (c *SharedEvalCache) Snapshot() map[int]bool {
 // keeping Calls deterministic at any parallelism level. An optional shared
 // EvalCache supplies outcomes already paid for by earlier queries; hits are
 // NOT charged to this meter.
+//
+// Every meter evaluates through the fallible path (see resilient.go):
+// NewMeter adapts an infallible UDF, NewResilientMeter takes a fallible
+// one plus an optional circuit breaker and failure callback.
 type Meter struct {
-	udf    UDF
 	calls  atomic.Int64
 	shared EvalCache // may be nil
-	// fudf, when non-nil, makes the meter resilient: evaluation goes
-	// through the fallible path (see resilient.go), failed rows are
-	// memoized as failed-final, never charged, never cached, and reported
-	// once through onFailure. gate, when non-nil, is the circuit breaker
-	// consulted by gated batch evaluation.
+	// fudf is the row evaluator. Failed rows are memoized as failed-final,
+	// never charged, never cached, and reported once through onFailure.
+	// gate, when non-nil, is the circuit breaker consulted by gated batch
+	// evaluation.
 	fudf      FallibleUDF
 	gate      exec.Gate
 	onFailure func(row int, err error)
@@ -373,9 +375,9 @@ type Meter struct {
 // evaluates it and closes done; later arrivals wait on done. failed marks
 // an evaluation that panicked or was cancelled (written before done
 // closes): waiters retry instead of trusting the zero-value verdict.
-// errFinal marks a resilient evaluation that ultimately failed (after its
-// own retries): the row stays memoized as failed for the meter's lifetime,
-// so every phase of a query sees the same rows excluded.
+// errFinal marks an evaluation that ultimately failed (after its own
+// retries): the row stays memoized as failed for the meter's lifetime, so
+// every phase of a query sees the same rows excluded.
 type meterEntry struct {
 	done     chan struct{}
 	val      bool
@@ -383,80 +385,28 @@ type meterEntry struct {
 	errFinal bool
 }
 
-// NewMeter wraps udf with call counting and memoization.
+// NewMeter wraps udf with call counting and memoization. udf never fails,
+// so every evaluated row is charged.
 func NewMeter(udf UDF) *Meter {
-	return &Meter{udf: udf, memo: make(map[int]*meterEntry)}
+	return NewResilientMeter(infallible{udf}, nil, nil, nil)
 }
 
-// NewCachedMeter is NewMeter backed by a cross-query outcome cache: rows
-// found in cache are served without invoking (or charging for) the UDF, and
-// newly computed outcomes are written back for future queries.
-func NewCachedMeter(udf UDF, cache EvalCache) *Meter {
-	m := NewMeter(udf)
-	m.shared = cache
-	return m
+// infallible adapts a UDF to FallibleUDF: it never reports an error.
+type infallible struct{ udf UDF }
+
+// EvalErr implements FallibleUDF.
+func (f infallible) EvalErr(_ context.Context, row int) (bool, error) {
+	return f.udf.Eval(row), nil
 }
 
-// Eval implements UDF, charging only the first evaluation per row. On a
-// resilient meter a row whose evaluation ultimately failed reports false
-// (the failure was already delivered through onFailure); prefer
-// EvalRowsResilient for batch paths that need the per-row failure flags.
+// Eval implements UDF, charging only the first evaluation per row. A row
+// whose evaluation ultimately failed reports false (the failure was
+// already delivered through onFailure); batch paths use EvalRowsResilient
+// for the per-row failure flags.
 //
-//predlint:allow ctxflow — pre-context compatibility shim; cancellable batch paths use EvalRowsResilient
+//predlint:allow ctxflow — UDF interface method; cancellable batch paths use EvalRowsResilient
 func (m *Meter) Eval(row int) bool {
-	if m.fudf != nil {
-		v, _ := m.EvalFallible(context.Background(), row)
-		return v
-	}
-	var e *meterEntry
-	for {
-		m.mu.Lock()
-		if cur, ok := m.memo[row]; ok {
-			m.mu.Unlock()
-			<-cur.done
-			if cur.failed {
-				// The owner panicked; the row was forgotten — retry.
-				continue
-			}
-			return cur.val
-		}
-		e = &meterEntry{done: make(chan struct{})}
-		m.memo[row] = e
-		m.mu.Unlock()
-		break
-	}
-
-	// If the UDF panics, forget the row (a retry must re-evaluate, never
-	// inherit the zero-value verdict) and release waiters flagged failed;
-	// the panic still propagates to our caller.
-	completed := false
-	defer func() {
-		if !completed {
-			e.failed = true
-			m.mu.Lock()
-			delete(m.memo, row)
-			m.mu.Unlock()
-			close(e.done)
-		}
-	}()
-	if m.shared != nil {
-		if v, ok := m.shared.Lookup(row); ok {
-			m.cacheHits.Add(1)
-			e.val = v
-			completed = true
-			close(e.done)
-			return v
-		}
-		m.cacheMisses.Add(1)
-	}
-	m.calls.Add(1)
-	v := m.udf.Eval(row)
-	e.val = v
-	completed = true
-	close(e.done)
-	if m.shared != nil {
-		m.shared.Store(row, v)
-	}
+	v, _ := m.EvalFallible(context.Background(), row)
 	return v
 }
 
@@ -472,7 +422,8 @@ func (m *Meter) CacheHits() int { return int(m.cacheHits.Load()) }
 func (m *Meter) CacheMisses() int { return int(m.cacheMisses.Load()) }
 
 // Known reports whether row's value is already memoized (and what it is).
-// In-flight evaluations on other goroutines report as unknown.
+// In-flight evaluations on other goroutines and failed rows report as
+// unknown.
 func (m *Meter) Known(row int) (bool, bool) {
 	m.mu.Lock()
 	e, ok := m.memo[row]
@@ -482,9 +433,9 @@ func (m *Meter) Known(row int) (bool, bool) {
 	}
 	select {
 	case <-e.done:
-		if e.failed {
-			// The evaluation panicked after we fetched the entry; its
-			// zero-value verdict was never computed.
+		if e.failed || e.errFinal {
+			// The evaluation panicked or was cancelled after we fetched the
+			// entry, or it failed for good: no verdict was computed.
 			return false, false
 		}
 		return e.val, true

@@ -24,9 +24,9 @@ import (
 //     answer is exact — rows resolved during sampling are free, and the
 //     sampling spend buys the ordering that minimizes wave work.
 
-// opConjSample draws the N-ary conjunction's sample: all predicates,
-// fused, over a Two-Third-Power allocation per group (the whole filtered
-// scan counts as one group when no GROUP ON was given).
+// opConjSample draws the N-ary conjunction's sample: every predicate over
+// a Two-Third-Power allocation per group (the whole filtered scan counts
+// as one group when no GROUP ON was given).
 func (e *Engine) opConjSample(ctx context.Context, st *pipeState) error {
 	cons := st.q.Approx.Constraints()
 	groups := st.groups
@@ -65,15 +65,9 @@ func (e *Engine) opConjExec(ctx context.Context, st *pipeState) error {
 	if err := st.preds[1].fault.Err(); err != nil {
 		return err
 	}
-	// Account evaluations from the outer meters so cross-query cache hits
-	// are not re-charged; sampling work is Retrievals beyond execution.
+	// Charge evaluations from the query's meters so cross-query cache hits
+	// are not re-charged.
 	evals := m1.Calls() + m2.Calls()
-	sampled := evals - res.Evaluated1 - res.Evaluated2
-	if sampled < 0 {
-		// Cache hits during sampling can push charged calls below the
-		// execution-phase counts; the sampling work was simply free.
-		sampled = 0
-	}
 	st.res = &Result{
 		Rows: res.Output,
 		Stats: Stats{
@@ -81,7 +75,7 @@ func (e *Engine) opConjExec(ctx context.Context, st *pipeState) error {
 			Retrievals:   res.Retrieved,
 			Cost:         float64(res.Retrieved)*st.cost.Retrieve + float64(evals)*st.cost.Evaluate,
 			ChosenColumn: q.GroupOn,
-			Sampled:      sampled,
+			Sampled:      res.Sampled,
 			CacheHits:    m1.CacheHits() + m2.CacheHits(),
 			CacheMisses:  m1.CacheMisses() + m2.CacheMisses(),
 		},

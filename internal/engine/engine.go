@@ -44,7 +44,7 @@ type Engine struct {
 	// bit-for-bit identical at every setting — only wall clock changes.
 	// Values above GOMAXPROCS are honored (useful for I/O-bound UDFs).
 	// UDF bodies must tolerate concurrent invocation when Parallelism > 1.
-	// Set before serving queries; changing it while Execute runs on
+	// Set before serving queries; changing it while a query runs on
 	// another goroutine is a data race.
 	Parallelism int
 	// CacheUDFResults enables the cross-query (table, UDF, column)

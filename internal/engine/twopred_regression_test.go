@@ -31,7 +31,7 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 	}
 	approxGold := golden{1004, 0x27f4d4d0d6d35d6a, Stats{
 		Evaluations: 2972, Retrievals: 2130, Cost: 11046,
-		ChosenColumn: "grade", CacheMisses: 2972,
+		ChosenColumn: "grade", Sampled: 390, CacheMisses: 2972,
 	}}
 	followGold := golden{1596, 0xb914cc97771b5ede, Stats{
 		Evaluations: 236, Retrievals: 1885, Cost: 2593,

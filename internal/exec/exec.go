@@ -15,9 +15,9 @@
 // services, human labeling, disk), where oversubscribing cores is the whole
 // point. CPU-bound callers should pass runtime.GOMAXPROCS(0).
 //
-// Cancellation: the Ctx variants accept a context.Context and check it
-// between work items, so a cancel stops the batch after at most one
-// in-flight item per worker. A cancelled batch returns ctx.Err() and its
+// Cancellation: every batch takes a context.Context and checks it between
+// work items, so a cancel stops the batch after at most one in-flight item
+// per worker. A cancelled batch returns ctx.Err() and its
 // partial outputs must be discarded — items that did run completed fully
 // (an item is never abandoned mid-call), which is what keeps caller-side
 // memoization and shared caches consistent after a cancel.
@@ -66,10 +66,10 @@ func NewPool(parallelism int) *Pool {
 // Workers reports the pool's parallelism.
 func (p *Pool) Workers() int { return p.workers }
 
-// ForEach invokes fn(i) for every i in [0, n), using up to Workers()
-// goroutines. It returns after all invocations complete. When parallelism
-// is 1 (or n is 1) everything runs on the calling goroutine, byte-for-byte
-// reproducing the legacy sequential behavior.
+// ForEachCtx invokes fn(i) for every i in [0, n), using up to Workers()
+// goroutines, and returns after all invocations complete. When parallelism
+// is 1 (or n is 1) everything runs on the calling goroutine in index
+// order.
 //
 // fn must be safe for concurrent invocation when the pool's parallelism
 // exceeds 1. If any invocation panics, no further chunks are claimed
@@ -77,19 +77,12 @@ func (p *Pool) Workers() int { return p.workers }
 // panic is re-panicked on the calling goroutine as a *PanicError carrying
 // the original value and the panicking goroutine's stack.
 //
-//predlint:allow ctxflow — uncancellable convenience form; cancellable callers use ForEachCtx
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	// context.Background() is never cancelled, so the error is always nil.
-	_ = p.ForEachCtx(context.Background(), n, fn)
-}
-
-// ForEachCtx is ForEach honoring a context: every worker checks ctx between
-// work items, so after a cancel each worker finishes at most the one item
-// it had in flight and stops claiming more. If the context ends before all
-// n items ran, ForEachCtx returns ctx.Err(); items that did run completed
-// fully (none are abandoned mid-call). Outputs of a cancelled batch are
-// truncated, never reordered — but callers should discard them and
-// propagate the error.
+// Every worker checks ctx between work items, so after a cancel each
+// worker finishes at most the one item it had in flight and stops claiming
+// more. If the context ends before all n items ran, ForEachCtx returns
+// ctx.Err(); items that did run completed fully (none are abandoned
+// mid-call). Outputs of a cancelled batch are truncated, never reordered —
+// but callers should discard them and propagate the error.
 func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -199,24 +192,4 @@ func runChunk(ctx context.Context, start, end int, fn func(int), cancelled *atom
 		fn(i)
 	}
 	return true
-}
-
-// EvalRows evaluates pred over each row id and returns the verdicts in
-// input order. This is the batch shape every UDF path uses: the caller's
-// plan phase produces the row work-list, this fans the expensive calls out.
-func (p *Pool) EvalRows(rows []int, pred func(row int) bool) []bool {
-	out := make([]bool, len(rows))
-	p.ForEach(len(rows), func(i int) { out[i] = pred(rows[i]) })
-	return out
-}
-
-// EvalRowsCtx is EvalRows honoring a context. On cancellation it returns
-// (nil, ctx.Err()): the partial verdicts are withheld so no caller can
-// mistake a truncated batch for a complete one.
-func (p *Pool) EvalRowsCtx(ctx context.Context, rows []int, pred func(row int) bool) ([]bool, error) {
-	out := make([]bool, len(rows))
-	if err := p.ForEachCtx(ctx, len(rows), func(i int) { out[i] = pred(rows[i]) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

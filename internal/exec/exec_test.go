@@ -29,7 +29,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 10000
 		counts := make([]atomic.Int32, n)
-		NewPool(workers).ForEach(n, func(i int) { counts[i].Add(1) })
+		NewPool(workers).ForEachCtx(context.Background(), n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -42,7 +42,7 @@ func TestForEachSequentialOrder(t *testing.T) {
 	// Parallelism 1 must preserve strict index order on the calling
 	// goroutine — the legacy-behavior contract.
 	var order []int
-	NewPool(1).ForEach(100, func(i int) { order = append(order, i) })
+	NewPool(1).ForEachCtx(context.Background(), 100, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("out of order at %d: %d", i, v)
@@ -55,8 +55,8 @@ func TestForEachSequentialOrder(t *testing.T) {
 
 func TestForEachZeroAndNegative(t *testing.T) {
 	called := false
-	NewPool(4).ForEach(0, func(int) { called = true })
-	NewPool(4).ForEach(-5, func(int) { called = true })
+	NewPool(4).ForEachCtx(context.Background(), 0, func(int) { called = true })
+	NewPool(4).ForEachCtx(context.Background(), -5, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty batch")
 	}
@@ -82,7 +82,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: Error() lost the panic value: %q", workers, pe.Error())
 				}
 			}()
-			NewPool(workers).ForEach(100, func(i int) {
+			NewPool(workers).ForEachCtx(context.Background(), 100, func(i int) {
 				if i == 37 {
 					panic("boom")
 				}
@@ -100,7 +100,7 @@ func TestForEachPanicStopsClaimingWork(t *testing.T) {
 	var executed atomic.Int64
 	func() {
 		defer func() { _ = recover() }()
-		NewPool(4).ForEach(n, func(i int) {
+		NewPool(4).ForEachCtx(context.Background(), n, func(i int) {
 			if i == 0 {
 				panic("early")
 			}
@@ -116,7 +116,7 @@ func TestForEachConcurrencyCap(t *testing.T) {
 	const workers = 4
 	var cur, peak atomic.Int32
 	var mu sync.Mutex
-	NewPool(workers).ForEach(200, func(int) {
+	NewPool(workers).ForEachCtx(context.Background(), 200, func(int) {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > peak.Load() {
@@ -130,17 +130,26 @@ func TestForEachConcurrencyCap(t *testing.T) {
 	}
 }
 
+// infallible adapts a plain predicate to a gated batch's eval callback.
+func infallible(pred func(row int) bool) func(context.Context, int) (bool, bool) {
+	return func(_ context.Context, row int) (bool, bool) { return pred(row), false }
+}
+
 func TestEvalRowsOrder(t *testing.T) {
 	rows := []int{5, 3, 8, 1, 9, 2}
-	got := NewPool(8).EvalRows(rows, func(r int) bool { return r%2 == 1 })
+	got, _, err := NewPool(8).EvalRowsGatedCtx(context.Background(), rows, nil, infallible(func(r int) bool { return r%2 == 1 }), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []bool{true, true, false, true, true, false}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("verdicts %v, want %v", got, want)
 		}
 	}
-	if out := NewPool(3).EvalRows(nil, func(int) bool { return true }); len(out) != 0 {
-		t.Fatalf("empty input produced %v", out)
+	out, _, err := NewPool(3).EvalRowsGatedCtx(context.Background(), nil, nil, infallible(func(int) bool { return true }), nil)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty input produced %v, %v", out, err)
 	}
 }
 
@@ -211,12 +220,12 @@ func TestEvalRowsCtxWithholdsPartialVerdicts(t *testing.T) {
 		rows[i] = i
 	}
 	var n atomic.Int64
-	out, err := NewPool(2).EvalRowsCtx(ctx, rows, func(r int) bool {
+	out, _, err := NewPool(2).EvalRowsGatedCtx(ctx, rows, nil, infallible(func(r int) bool {
 		if n.Add(1) == 10 {
 			cancel()
 		}
 		return true
-	})
+	}), nil)
 	if err != context.Canceled {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
@@ -226,13 +235,13 @@ func TestEvalRowsCtxWithholdsPartialVerdicts(t *testing.T) {
 	// Sequential path too.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var m int
-	out, err = NewPool(1).EvalRowsCtx(ctx2, rows, func(r int) bool {
+	out, _, err = NewPool(1).EvalRowsGatedCtx(ctx2, rows, nil, infallible(func(r int) bool {
 		m++
 		if m == 5 {
 			cancel2()
 		}
 		return true
-	})
+	}), nil)
 	if err != context.Canceled || out != nil {
 		t.Fatalf("sequential cancel: out %v err %v", out, err)
 	}

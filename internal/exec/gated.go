@@ -5,15 +5,15 @@ import (
 	"fmt"
 )
 
-// Gated batch evaluation: the substrate beneath circuit-broken UDF
-// invocation. A plain EvalRowsCtx batch fans every row out at once, which
-// is perfect for healthy UDFs but gives a circuit breaker nothing to act
-// on — by the time outcomes exist, every call has already been made. The
-// gated variant splits the batch into segments that act as barriers: the
-// gate decides BEFORE each segment which rows may invoke (denied rows are
-// resolved by the caller's deny callback, sequentially), the admitted rows
-// fan out in parallel, and the outcomes fold back into the gate in row
-// order AFTER the segment. All gate interaction happens on the calling
+// Gated batch evaluation: the substrate beneath every UDF invocation. A
+// batch that fans every row out at once is perfect for healthy UDFs but
+// gives a circuit breaker nothing to act on — by the time outcomes exist,
+// every call has already been made. A gated batch splits into segments
+// that act as barriers: the gate decides BEFORE each segment which rows
+// may invoke (denied rows are resolved by the caller's deny callback,
+// sequentially), the admitted rows fan out in parallel, and the outcomes
+// fold back into the gate in row order AFTER the segment. Without a gate
+// the whole batch runs as one wave. All gate interaction happens on the calling
 // goroutine, so gate state — and therefore every admit/deny decision — is
 // a pure function of the outcome sequence, bit-for-bit identical at any
 // parallelism level.
@@ -39,7 +39,8 @@ type Gate interface {
 // the pool's width) and returns (verdict, failed); deny resolves denied
 // rows without invoking (e.g. from a memo or cache) and is called
 // sequentially on the calling goroutine. A nil gate admits everything in
-// one wave. On cancellation both slices are withheld: (nil, nil, ctx.Err()).
+// one wave and never calls deny, which may then be nil. On cancellation
+// both slices are withheld: (nil, nil, ctx.Err()).
 //
 // The verdicts and failed slices are index-aligned with rows; a failed row
 // always carries verdict false.

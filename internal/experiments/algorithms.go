@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -45,7 +47,7 @@ func runIntel(d *dataset.Dataset, cons core.Constraints, alloc core.Allocator, r
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunIntelSample(in, core.RunOptions{Alloc: alloc, RNG: rng})
+	res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{Alloc: alloc, RNG: rng})
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
@@ -58,7 +60,7 @@ func runOptimal(d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (Algo
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunPerfectSelectivities(in, d.Truth(), rng)
+	res, err := core.RunPerfectSelectivities(context.Background(), in, d.Truth(), rng)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
@@ -132,19 +134,30 @@ func runMultiple(d *dataset.Dataset, cons core.Constraints, features [][]float64
 // then sample/plan/execute as usual. The 1% training labels are preloaded
 // into the sampler so they are charged once and reused.
 func runIntelVirtual(d *dataset.Dataset, cons core.Constraints, num float64, rng *stats.RNG, features [][]float64) (AlgoOutcome, error) {
+	ctx := context.Background()
 	meter := core.NewMeter(d.UDF())
 	n := d.Table.NumRows()
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled := core.LabelFraction(rows, 0.01, meter, rng)
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, 0.01, meter, rng, 1)
+	if err != nil {
+		return AlgoOutcome{}, err
+	}
 
-	X := make([][]float64, 0, len(labeled))
-	y := make([]bool, 0, len(labeled))
-	for row, v := range labeled {
-		X = append(X, features[row])
-		y = append(y, v)
+	// Train on the labeled rows in row order: the model depends on the
+	// order of its training set, so ranging over the map would make the
+	// buckets differ from run to run.
+	trainRows := make([]int, 0, len(labeled))
+	for row := range labeled {
+		trainRows = append(trainRows, row)
+	}
+	sort.Ints(trainRows)
+	X := make([][]float64, len(trainRows))
+	y := make([]bool, len(trainRows))
+	for i, row := range trainRows {
+		X[i], y[i] = features[row], labeled[row]
 	}
 	model := ml.LogisticRegression{Epochs: 80}
 	if err := model.Fit(X, y); err != nil {
@@ -173,14 +186,14 @@ func runIntelVirtual(d *dataset.Dataset, cons core.Constraints, num float64, rng
 	for i, g := range groups {
 		sizes[i] = len(g.Rows)
 	}
-	if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: num}).Allocate(sizes)); err != nil {
+	if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: num}).Allocate(sizes)); err != nil {
 		return AlgoOutcome{}, err
 	}
 	strat, err := core.PlanWithSamples(sampler.Infos(), cons, core.DefaultCost)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	exec, err := core.Execute(groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split())
+	exec, err := core.ExecuteParallelCtx(ctx, groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}

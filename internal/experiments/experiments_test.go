@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -238,5 +240,21 @@ func TestMarginAblationShape(t *testing.T) {
 		if m.WithCost[i] < m.WithoutCost[i]-1e-6 {
 			t.Fatalf("%s: margined plan cheaper than unmargined", m.Datasets[i])
 		}
+	}
+}
+
+func TestFig1cDeterministic(t *testing.T) {
+	// The virtual column trains a model on the labeled rows; two runs of
+	// one config must build the same model, buckets and table.
+	run := func() fmt.Stringer {
+		res, err := tinyRunner().Run("fig1c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first, second := run(), run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("fig1c differs between two runs of one config:\n%s\nvs\n%s", first, second)
 	}
 }

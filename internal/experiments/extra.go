@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -66,7 +67,7 @@ func runColumns(r *Runner) (fmt.Stringer, error) {
 		var agg average
 		for i := 0; i < iters; i++ {
 			in := core.Instance{Groups: groups, UDF: core.NewMeter(d.UDF()), Cons: cons, Cost: core.DefaultCost}
-			res, err := core.RunIntelSample(in, core.RunOptions{RNG: rng.Split()})
+			res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng.Split()})
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +134,7 @@ func runAdaptive(r *Runner) (fmt.Stringer, error) {
 			meter := core.NewMeter(d.UDF())
 			in.UDF = meter
 			sampler := core.NewSampler(in.Groups, meter, rng.Split())
-			num, err := core.AdaptiveTwoThirdPower(sampler, cons, core.DefaultCost, core.AdaptiveOptions{})
+			num, err := core.AdaptiveTwoThirdPower(context.Background(), sampler, cons, core.DefaultCost, core.AdaptiveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +143,7 @@ func runAdaptive(r *Runner) (fmt.Stringer, error) {
 			if err != nil {
 				return nil, err
 			}
-			exec, err := core.Execute(in.Groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split())
+			exec, err := core.ExecuteParallelCtx(context.Background(), in.Groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +213,7 @@ func runSolverAblation(r *Runner) (fmt.Stringer, error) {
 		for i, g := range groups {
 			sizes[i] = len(g.Rows)
 		}
-		if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(context.Background(), (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
 			return nil, err
 		}
 		infos := sampler.Infos()
@@ -273,7 +274,7 @@ func runBoundAblation(r *Runner) (fmt.Stringer, error) {
 		for i, g := range groups {
 			sizes[i] = len(g.Rows)
 		}
-		if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(context.Background(), (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
 			return nil, err
 		}
 		infos := sampler.Infos()

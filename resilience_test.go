@@ -198,6 +198,87 @@ func TestCancellationDuringRetry(t *testing.T) {
 	}
 }
 
+// twoPredicateSQL is the paper's §5 shape over the loans fixture: two
+// expensive predicates with an accuracy bound and an explicit GROUP ON.
+const twoPredicateSQL = "SELECT id FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1 WITH PRECISION 0.8 GROUP ON grade"
+
+// twoPredicateDB builds a DB over the n-row loans fixture whose
+// good_credit UDF is the given fallible body and whose rich UDF is healthy.
+func twoPredicateDB(t *testing.T, n int, goodCredit func(context.Context, any) (bool, error)) *predeval.DB {
+	t.Helper()
+	csv, _ := loansCSV(n, 1)
+	db := predeval.Open(7)
+	if err := db.LoadCSV("loans", strings.NewReader(csv)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterUDFErr("good_credit", goodCredit, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterUDF("rich", func(v any) bool { return v.(float64) > 70000 }, 0); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestBreakerTripsOnTwoPredicateQuery: the §5 pipeline evaluates through
+// the query's own meters, so a dead UDF trips its circuit breaker there
+// just as it does on a single-predicate query.
+func TestBreakerTripsOnTwoPredicateQuery(t *testing.T) {
+	db := twoPredicateDB(t, 600, func(context.Context, any) (bool, error) {
+		return false, resilience.New(resilience.Permanent, "udf", errors.New("down"))
+	})
+	if err := db.SetFailurePolicy("skip"); err != nil {
+		t.Fatal(err)
+	}
+	db.SetRetryPolicy(resilience.Policy{
+		MaxAttempts: 1,
+		Sleep:       func(context.Context, time.Duration) error { return nil },
+	})
+	rows, err := db.QueryContext(context.Background(), twoPredicateSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rows.Stats(); st.BreakerTrips == 0 {
+		t.Fatalf("BreakerTrips = 0 on a two-predicate query over a dead UDF; stats %+v", st)
+	}
+}
+
+// TestCancellationDuringRetryTwoPredicate is TestCancellationDuringRetry
+// for the §5 pipeline: a cancel landing in a retry backoff must end the
+// backoff and abort the query with ctx.Err(), not sleep the backoff out.
+func TestCancellationDuringRetryTwoPredicate(t *testing.T) {
+	const backoff = 300 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	db := twoPredicateDB(t, 200, func(_ context.Context, v any) (bool, error) {
+		if v.(int64)%7 == 0 {
+			return false, errors.New("transient blip")
+		}
+		return v.(int64)%2 == 0, nil
+	})
+	db.SetRetryPolicy(resilience.Policy{
+		MaxAttempts: 5,
+		Sleep: func(sctx context.Context, _ time.Duration) error {
+			cancel() // the client gives up mid-backoff
+			select {
+			case <-sctx.Done():
+				return sctx.Err()
+			case <-time.After(backoff):
+				return nil
+			}
+		},
+	})
+
+	start := time.Now()
+	_, err := db.QueryContext(ctx, twoPredicateSQL)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled (a batch abort, not a row failure)", err)
+	}
+	if elapsed >= backoff {
+		t.Fatalf("cancellation took %v — a %v backoff was slept out", elapsed, backoff)
+	}
+}
+
 // TestCatalogTornTailAfterRetryHeavyWorkload (satellite): run a workload
 // where every row retries once and some rows fail permanently (skip
 // policy), flush it, then tear the final WAL record as a crash would. The
