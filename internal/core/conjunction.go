@@ -20,9 +20,9 @@ import (
 //     need every outcome);
 //   - OrderPredicates — the classic greedy cheapest-first ordering by
 //     cost/(1−selectivity), using the sampled selectivity estimates;
-//   - ExecuteConjunctionWavesParallelCtx — short-circuit waves over the
-//     ordered predicates, where each wave evaluates only the survivors of
-//     the previous one and rows resolved during sampling are free.
+//   - ConjWaveRunner — short-circuit waves over the ordered predicates,
+//     where each wave evaluates only the survivors of the previous one and
+//     rows resolved during sampling are free.
 //
 // Everything is plan/evaluate split like the rest of the package: row
 // selection and ordering are sequential, UDF calls fan out across workers,
@@ -153,10 +153,8 @@ func OrderPredicates(costs, sels []float64) ([]int, error) {
 	return order, nil
 }
 
-// ConjWavesResult is the outcome of a short-circuit wave execution.
+// ConjWavesResult holds the counts of a short-circuit wave execution.
 type ConjWavesResult struct {
-	// Output holds the rows passing every predicate, in input row order.
-	Output []int
 	// Retrieved counts rows fetched during the waves (rows fully resolved
 	// by sampling are free; a row rejected by a known outcome before its
 	// first unknown predicate is never fetched).
@@ -172,16 +170,21 @@ type ConjWavesResult struct {
 // per-predicate evaluation counts and the retrieved-row total accumulate
 // across batches. Batching does not change any outcome: a wave evaluates a
 // predicate on exactly the rows that survived the previous predicates, and
-// rows never interact across waves, so splitting the input into batches
-// yields the same calls, the same verdicts and the same survivors as one
-// monolithic run — the engine's batch executor relies on this. Not safe for
-// concurrent Run calls; parallelism lives inside a wave's pool fan-out.
+// rows never interact across waves, so splitting the input into disjoint
+// batches yields the same calls, the same verdicts and the same survivors
+// as one monolithic run — the engine's batch executor relies on this. Not
+// safe for concurrent Run calls; parallelism lives inside a wave's pool
+// fan-out.
 type ConjWaveRunner struct {
-	order     []int
-	known     []map[int]bool
-	udfs      []UDF
-	pool      *exec.Pool
+	order []int
+	known []map[int]bool
+	udfs  []UDF
+	pool  *exec.Pool
+	// retrieved dedups fetched rows when outcomes are known (a row may be
+	// fetched first by any wave); with none known, wave 1 fetches every row.
 	retrieved map[int]bool
+	work      []int // a wave's unresolved rows, reused
+	buf       []int // survivors, reused across Run calls
 	res       ConjWavesResult
 }
 
@@ -202,43 +205,45 @@ func NewConjWaveRunner(order []int, known []map[int]bool, udfs []UDF, parallelis
 		}
 		seen[j] = true
 	}
-	return &ConjWaveRunner{
-		order:     order,
-		known:     known,
-		udfs:      udfs,
-		pool:      exec.NewPool(parallelism),
-		retrieved: make(map[int]bool),
-		res:       ConjWavesResult{Evaluated: make([]int, len(udfs))},
-	}, nil
+	w := &ConjWaveRunner{
+		order: order,
+		known: known,
+		udfs:  udfs,
+		pool:  exec.NewPool(parallelism),
+		res:   ConjWavesResult{Evaluated: make([]int, len(udfs))},
+	}
+	if known != nil {
+		w.retrieved = make(map[int]bool)
+	}
+	return w, nil
 }
 
 // Run pushes one batch of rows through the waves and returns its survivors
-// in input order. A cancel returns ctx.Err() with the accumulated counts
-// untouched by the aborted batch's partial work beyond calls already paid.
+// in input order. The survivor slice is owned by the runner and valid only
+// until the next Run call, like a Batch: callers that retain rows must
+// copy them. A cancel returns ctx.Err(); the counts keep the calls already
+// paid by earlier waves.
 func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
+	if cap(w.buf) < len(rows) {
+		w.buf = make([]int, 0, len(rows)) // survivors never outnumber rows
+	}
 	survivors := rows
-	for _, j := range w.order {
+	for wave, j := range w.order {
 		var kn map[int]bool
 		if w.known != nil {
 			kn = w.known[j]
 		}
-		// Plan the wave: resolve known rows, emit slots for the rest so the
-		// merge below rebuilds the survivor list in input order.
-		type slot struct {
-			row     int
-			evalIdx int // -1: known pass, no evaluation needed
-		}
-		var slots []slot
-		var work []int
-		for _, row := range survivors {
-			if v, ok := kn[row]; ok {
-				if v {
-					slots = append(slots, slot{row: row, evalIdx: -1})
+		// Known rows resolve without evaluation; with none known, the
+		// wave's work is the survivor list itself.
+		work := survivors
+		if len(kn) > 0 {
+			work = w.work[:0]
+			for _, row := range survivors {
+				if _, ok := kn[row]; !ok {
+					work = append(work, row)
 				}
-				continue
 			}
-			slots = append(slots, slot{row: row, evalIdx: len(work)})
-			work = append(work, row)
+			w.work = work
 		}
 		// Failed resilient evaluations carry verdict false, so failed rows
 		// simply do not survive the wave.
@@ -247,47 +252,44 @@ func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
 			return nil, err
 		}
 		w.res.Evaluated[j] += len(work)
-		for _, row := range work {
-			if !w.retrieved[row] {
-				w.retrieved[row] = true
-				w.res.Retrieved++
+		if w.retrieved == nil {
+			if wave == 0 {
+				w.res.Retrieved += len(work)
+			}
+		} else {
+			for _, row := range work {
+				if !w.retrieved[row] {
+					w.retrieved[row] = true
+					w.res.Retrieved++
+				}
 			}
 		}
-		next := make([]int, 0, len(slots))
-		for _, sl := range slots {
-			if sl.evalIdx < 0 || verdicts[sl.evalIdx] {
-				next = append(next, sl.row)
+		// Merge in input order. The compaction may run over the survivor
+		// buffer itself: it never writes ahead of where it reads.
+		next := w.buf[:0]
+		if len(kn) == 0 {
+			for i, row := range survivors {
+				if verdicts[i] {
+					next = append(next, row)
+				}
+			}
+		} else {
+			k := 0
+			for _, row := range survivors {
+				pass, ok := kn[row]
+				if !ok {
+					pass = verdicts[k]
+					k++
+				}
+				if pass {
+					next = append(next, row)
+				}
 			}
 		}
-		survivors = next
+		w.buf, survivors = next, next
 	}
 	return survivors, nil
 }
 
-// Result returns the counts accumulated over every Run so far. Output holds
-// the survivors of all batches in push order.
+// Result returns the counts accumulated over every Run so far.
 func (w *ConjWaveRunner) Result() ConjWavesResult { return w.res }
-
-// ExecuteConjunctionWavesParallelCtx runs a conjunction over rows as
-// short-circuit waves: predicates are visited in the given order, each wave
-// evaluates its predicate only on the survivors of the previous waves, and
-// survivors of the final wave are the output. known[j], when non-nil, maps
-// row → already-paid outcome of predicate j (e.g. from sampling): known
-// rows are resolved without evaluation. Each wave fans out across up to
-// `parallelism` workers; survivor lists are maintained in input order, so
-// output and counts are identical at every parallelism level. A cancel
-// returns ctx.Err() and an empty result. (One-shot wrapper over
-// ConjWaveRunner; the batch executor drives the runner directly.)
-func ExecuteConjunctionWavesParallelCtx(ctx context.Context, rows []int, order []int, known []map[int]bool, udfs []UDF, parallelism int) (ConjWavesResult, error) {
-	w, err := NewConjWaveRunner(order, known, udfs, parallelism)
-	if err != nil {
-		return ConjWavesResult{}, err
-	}
-	out, err := w.Run(ctx, rows)
-	if err != nil {
-		return ConjWavesResult{}, err
-	}
-	res := w.Result()
-	res.Output = out
-	return res, nil
-}

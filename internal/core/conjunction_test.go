@@ -109,6 +109,20 @@ func TestOrderPredicates(t *testing.T) {
 	}
 }
 
+// runWaves pushes rows through a fresh ConjWaveRunner as one batch and
+// returns the survivors with the runner's counts.
+func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, udfs []UDF, parallelism int) ([]int, ConjWavesResult, error) {
+	w, err := NewConjWaveRunner(order, known, udfs, parallelism)
+	if err != nil {
+		return nil, ConjWavesResult{}, err
+	}
+	out, err := w.Run(ctx, rows)
+	if err != nil {
+		return nil, ConjWavesResult{}, err
+	}
+	return out, w.Result(), nil
+}
+
 func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	n := 200
 	rows := make([]int, n)
@@ -118,7 +132,7 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	m0 := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
 	m1 := NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))
 	m2 := NewMeter(UDFFunc(func(row int) bool { return row%5 == 0 }))
-	res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 1, 2}, nil, []UDF{m0, m1, m2}, 4)
+	out, res, err := runWaves(context.Background(), rows, []int{0, 1, 2}, nil, []UDF{m0, m1, m2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +142,8 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 			want = append(want, i)
 		}
 	}
-	if !reflect.DeepEqual(res.Output, want) {
-		t.Fatalf("output %v, want %v", res.Output, want)
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("output %v, want %v", out, want)
 	}
 	// Wave sizes: 200, then the 100 even rows, then the 34 multiples of 6.
 	if got := res.Evaluated; !reflect.DeepEqual(got, []int{200, 100, 34}) {
@@ -151,12 +165,12 @@ func TestExecuteConjunctionWavesKnownRowsFree(t *testing.T) {
 		{0: true, 1: false},
 		{0: true},
 	}
-	res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 1}, known, []UDF{m0, m1}, 1)
+	out, res, err := runWaves(context.Background(), rows, []int{0, 1}, known, []UDF{m0, m1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Output, []int{0, 2, 4}) {
-		t.Fatalf("output %v", res.Output)
+	if !reflect.DeepEqual(out, []int{0, 2, 4}) {
+		t.Fatalf("output %v", out)
 	}
 	// Rows 0 and 1 were fully decided (or rejected) without touching pred 0;
 	// row 0 also skipped pred 1.
@@ -183,28 +197,77 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 		UDFFunc(func(row int) bool { return row%7 != 0 }),
 		UDFFunc(func(row int) bool { return row > 100 }),
 	}
-	run := func(par int) ConjWavesResult {
-		res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{2, 0, 1}, nil, udfs, par)
+	type waves struct {
+		out []int
+		res ConjWavesResult
+	}
+	run := func(par int) waves {
+		out, res, err := runWaves(context.Background(), rows, []int{2, 0, 1}, nil, udfs, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return waves{out, res}
 	}
 	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
 		t.Fatalf("waves diverged across parallelism: %+v vs %+v", a, b)
 	}
 }
 
+// TestConjWaveRunnerBatchesMatchOneRun: pushing the rows in small batches
+// (copying each batch's survivors, whose buffer the runner reuses) yields
+// the survivors and counts of one monolithic run, with and without known
+// outcomes.
+func TestConjWaveRunnerBatchesMatchOneRun(t *testing.T) {
+	rows := make([]int, 300)
+	for i := range rows {
+		rows[i] = i
+	}
+	udfs := []UDF{
+		UDFFunc(func(row int) bool { return row%2 == 0 }),
+		UDFFunc(func(row int) bool { return row%3 != 0 }),
+	}
+	known := []map[int]bool{{4: true, 5: false, 6: true}, {4: true, 8: false}}
+	for _, kn := range [][]map[int]bool{nil, known} {
+		wantOut, wantRes, err := runWaves(context.Background(), rows, []int{1, 0}, kn, udfs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewConjWaveRunner([]int{1, 0}, kn, udfs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		for lo := 0; lo < len(rows); lo += 7 {
+			got, err := w.Run(context.Background(), rows[lo:min(lo+7, len(rows))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, got...)
+		}
+		if !reflect.DeepEqual(out, wantOut) {
+			t.Fatalf("known=%v: batched survivors %v, want %v", kn != nil, out, wantOut)
+		}
+		if !reflect.DeepEqual(w.Result(), wantRes) {
+			t.Fatalf("known=%v: batched counts %+v, want %+v", kn != nil, w.Result(), wantRes)
+		}
+	}
+	for i, r := range rows {
+		if r != i {
+			t.Fatalf("Run modified its input: rows[%d] = %d", i, r)
+		}
+	}
+}
+
 func TestConjunctionWavesValidation(t *testing.T) {
 	rows := []int{0, 1}
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0}, nil, udfs, 1); err == nil {
+	if _, _, err := runWaves(context.Background(), rows, []int{0}, nil, udfs, 1); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 0}, nil, udfs, 1); err == nil {
+	if _, _, err := runWaves(context.Background(), rows, []int{0, 0}, nil, udfs, 1); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 2}, nil, udfs, 1); err == nil {
+	if _, _, err := runWaves(context.Background(), rows, []int{0, 2}, nil, udfs, 1); err == nil {
 		t.Fatal("out-of-range order accepted")
 	}
 	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, udfs, stats.NewRNG(1), 1); err == nil {
@@ -240,7 +303,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		return true
 	})
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	_, err = ExecuteConjunctionWavesParallelCtx(ctx2, rows, []int{0, 1}, nil, []UDF{udf2, udf2}, 1)
+	_, _, err = runWaves(ctx2, rows, []int{0, 1}, nil, []UDF{udf2, udf2}, 1)
 	if err != context.Canceled {
 		t.Fatalf("waves cancel: %v", err)
 	}

@@ -27,8 +27,8 @@ func benchFilterTable(b *testing.B, n int) *table.Table {
 
 // BenchmarkBatchScanFilter1M compares the two ways of applying cheap
 // filters over a 1M-row table: materializing the full survivor list
-// (the pre-batch executor's filter operator, kept as filterRows) versus
-// draining the fused batch scan. The interesting metric is B/op: the
+// (filterRows, what the driver does ahead of blocking stages) versus
+// streaming the fused batch scan. The interesting metric is B/op: the
 // materialized path allocates proportionally to the TABLE (the survivor
 // slice plus its growth reallocations), the fused path proportionally to
 // the BATCH (one reused buffer), a ≥5x difference at this shape.
@@ -50,7 +50,7 @@ func BenchmarkBatchScanFilter1M(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := e.filterRows(tbl, filters)
+			rows, err := filterRows(tbl, filters)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -63,12 +63,12 @@ func BenchmarkBatchScanFilter1M(b *testing.B) {
 	b.Run("fused-batch", func(b *testing.B) {
 		b.ReportAllocs()
 		ctx := context.Background()
-		st := &pipeState{q: Query{Filters: filters}, tbl: tbl}
 		for i := 0; i < b.N; i++ {
-			sc := &scanOp{e: e, st: st}
-			if err := sc.Open(ctx); err != nil {
+			preds, err := compileFilters(tbl, filters)
+			if err != nil {
 				b.Fatal(err)
 			}
+			sc := newScan(tbl, nil, preds, e.batchSize())
 			got := 0
 			for {
 				batch, err := sc.Next(ctx)

@@ -15,9 +15,9 @@ import (
 //     assume both / evaluate either / evaluate both with short-circuit).
 //     This requires an explicit GROUP ON column, like the paper.
 //
-//   - Every other conjunction runs short-circuit waves (conjWavesOp in
-//     batch.go): each
-//     predicate is evaluated only on the survivors of the ones before it.
+//   - Every other conjunction runs short-circuit waves (the wave terminal,
+//     runWaves in batch.go): each predicate is evaluated only on the
+//     survivors of the ones before it.
 //     Exact queries keep the predicates in query order; approximate N-ary
 //     queries first sample every predicate (opConjSample) and order them
 //     greedily cheapest-first by sampled cost/(1−selectivity). The wave
@@ -65,20 +65,8 @@ func (e *Engine) opConjExec(ctx context.Context, st *pipeState) error {
 	if err := st.preds[1].fault.Err(); err != nil {
 		return err
 	}
-	// Charge evaluations from the query's meters so cross-query cache hits
-	// are not re-charged.
-	evals := m1.Calls() + m2.Calls()
-	st.res = &Result{
-		Rows: res.Output,
-		Stats: Stats{
-			Evaluations:  evals,
-			Retrievals:   res.Retrieved,
-			Cost:         float64(res.Retrieved)*st.cost.Retrieve + float64(evals)*st.cost.Evaluate,
-			ChosenColumn: q.GroupOn,
-			Sampled:      res.Sampled,
-			CacheHits:    m1.CacheHits() + m2.CacheHits(),
-			CacheMisses:  m1.CacheMisses() + m2.CacheMisses(),
-		},
-	}
+	stats := st.stats(res.Retrieved)
+	stats.ChosenColumn, stats.Sampled = q.GroupOn, res.Sampled
+	st.res = &Result{Rows: res.Output, Stats: stats}
 	return nil
 }

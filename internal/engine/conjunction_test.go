@@ -324,6 +324,17 @@ func TestExplainValidatesBindings(t *testing.T) {
 	if _, err := explainJoin(e, sj); err == nil {
 		t.Fatal("EXPLAIN with unknown join table accepted")
 	}
+	// An unknown filter column: EXPLAIN must reject it just like execution,
+	// on exact and approximate shapes alike.
+	for _, q := range []Query{base, {Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}} {
+		q.Filters = []Filter{{Column: "missing", Value: "x"}}
+		if _, err := explain(e, q); err == nil {
+			t.Fatalf("EXPLAIN with unknown filter column accepted (approx=%v)", q.Approx != nil)
+		}
+		if _, err := execute(e, q); err == nil {
+			t.Fatalf("execution with unknown filter column accepted (approx=%v)", q.Approx != nil)
+		}
+	}
 }
 
 // TestNaryConjunctionPerPredicateCost: waves bill each predicate's charged
@@ -397,6 +408,27 @@ func TestPredCostNoLeakFromFirstOverride(t *testing.T) {
 	if res.Stats.Cost != want {
 		t.Fatalf("cost %v, want %v (pricey %d, cheapdef %d, good %d calls)",
 			res.Stats.Cost, want, priceyCalls.Load(), cheapCalls.Load(), goodCalls)
+	}
+
+	// The §5 two-predicate shape bills each predicate at its own o_e too.
+	priceyCalls.Store(0)
+	cheapCalls.Store(0)
+	e.CacheUDFResults = false // charge every call of this query afresh
+	res, err = execute(e, Query{
+		Table: "loans", UDFName: "pricey", UDFArg: "id", Want: true,
+		Conjuncts: []Conjunct{{UDFName: "cheapdef", UDFArg: "id", Want: true}},
+		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int(priceyCalls.Load() + cheapCalls.Load()); got != res.Stats.Evaluations || got == 0 {
+		t.Fatalf("two-predicate: %d body calls, %d charged", got, res.Stats.Evaluations)
+	}
+	want = float64(res.Stats.Retrievals)*1 + float64(priceyCalls.Load())*100 + float64(cheapCalls.Load())*3
+	if res.Stats.Cost != want {
+		t.Fatalf("two-predicate cost %v, want %v (pricey %d, cheapdef %d calls)",
+			res.Stats.Cost, want, priceyCalls.Load(), cheapCalls.Load())
 	}
 }
 

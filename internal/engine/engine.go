@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -63,7 +62,7 @@ type Engine struct {
 	// OnFailure is the default failure policy for queries that do not set
 	// their own ("" means FailOnError). See resilience.go.
 	OnFailure FailurePolicy
-	// BatchSize is the number of rows per execution batch in the Volcano
+	// BatchSize is the number of rows per execution batch in the
 	// pipeline (see batch.go); ≤ 0 means DefaultBatchSize. Results are
 	// bit-identical at any setting (breaker-tripping workloads excepted —
 	// fold points move with batch boundaries; see DESIGN.md). Set before
@@ -134,9 +133,6 @@ func (e *Engine) parallelism() int {
 	}
 	return e.Parallelism
 }
-
-// pool returns a worker pool at the engine's parallelism.
-func (e *Engine) pool() *exec.Pool { return exec.NewPool(e.parallelism()) }
 
 // RegisterTable adds a table; the name must be unused.
 func (e *Engine) RegisterTable(t *table.Table) error {
@@ -242,8 +238,8 @@ func (e *Engine) costModel(q Query) core.CostModel {
 }
 
 // Run is the one execution path for every query shape: validate, bind
-// tables and predicates, lower into the physical operator tree, and run it
-// as a batch pull pipeline (see batch.go), delivering the result rows to
+// tables and predicates, lower into the physical operator chain, and run it
+// through the pipeline driver (see batch.go), delivering the result rows to
 // sink in deterministic batches as execution produces them. A materialized
 // result is a sink that collects. For streaming shapes (exact selections
 // and conjunction waves) the first batch arrives while later batches are

@@ -428,26 +428,6 @@ func TestExecuteSelectJoinErrors(t *testing.T) {
 	}
 }
 
-func TestJoinMultiplicities(t *testing.T) {
-	schema := table.MustSchema(table.ColumnDef{Name: "k", Type: table.String})
-	tbl := table.New("t", schema)
-	for _, k := range []string{"a", "a", "b"} {
-		if err := tbl.AppendRow(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mult, err := JoinMultiplicities(tbl, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mult["a"] != 2 || mult["b"] != 1 {
-		t.Fatalf("multiplicities %v", mult)
-	}
-	if _, err := JoinMultiplicities(tbl, "nope"); err == nil {
-		t.Fatal("missing key accepted")
-	}
-}
-
 func TestVirtualColumnDeterministic(t *testing.T) {
 	run := func() []int {
 		tbl, truth := buildLoanTable(t, 1500, 42)

@@ -61,14 +61,11 @@ func compileFilter(col table.Column, lit string) func(row int) bool {
 	}
 }
 
-// filterRows applies the query's cheap predicates, returning the matching
-// row ids (nil when there are no filters, meaning "all rows"). The scan is
-// over already-resident column data, so no retrieval or evaluation cost is
-// charged — this is the Section 5 "execute cheap predicates first" rule.
-func (e *Engine) filterRows(tbl *table.Table, filters []Filter) ([]int, error) {
-	if len(filters) == 0 {
-		return nil, nil
-	}
+// compileFilters compiles the query's cheap equality filters against tbl.
+// The scan applies them over already-resident column data, so no
+// retrieval or evaluation cost is charged — this is the Section 5 "execute
+// cheap predicates first" rule.
+func compileFilters(tbl *table.Table, filters []Filter) ([]func(int) bool, error) {
 	preds := make([]func(int) bool, len(filters))
 	for i, f := range filters {
 		col := tbl.ColumnByName(f.Column)
@@ -77,18 +74,5 @@ func (e *Engine) filterRows(tbl *table.Table, filters []Filter) ([]int, error) {
 		}
 		preds[i] = compileFilter(col, f.Value)
 	}
-	rows := []int{}
-	for r := 0; r < tbl.NumRows(); r++ {
-		keep := true
-		for _, pred := range preds {
-			if !pred(r) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
+	return preds, nil
 }

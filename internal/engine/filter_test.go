@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -35,8 +36,21 @@ func filterTestTable(t *testing.T) *table.Table {
 	return tbl
 }
 
+// filterRows materializes the rows passing filters the way the pipeline
+// driver does ahead of blocking stages — compile, then drain the fused
+// scan — returning nil when there are no filters, meaning "all rows".
+func filterRows(tbl *table.Table, filters []Filter) ([]int, error) {
+	if len(filters) == 0 {
+		return nil, nil
+	}
+	preds, err := compileFilters(tbl, filters)
+	if err != nil {
+		return nil, err
+	}
+	return newScan(tbl, nil, preds, DefaultBatchSize).drain(context.Background())
+}
+
 func TestTypedFilterSemantics(t *testing.T) {
-	e := New(1)
 	tbl := filterTestTable(t)
 	cases := []struct {
 		filters []Filter
@@ -67,7 +81,7 @@ func TestTypedFilterSemantics(t *testing.T) {
 		{[]Filter{{Column: "n", Value: "42"}, {Column: "s", Value: "a"}, {Column: "x", Value: "100"}}, []int{2}},
 	}
 	for _, c := range cases {
-		got, err := e.filterRows(tbl, c.filters)
+		got, err := filterRows(tbl, c.filters)
 		if err != nil {
 			t.Fatalf("%v: %v", c.filters, err)
 		}
@@ -76,12 +90,12 @@ func TestTypedFilterSemantics(t *testing.T) {
 		}
 	}
 	// No filters means "all rows" signaled as nil.
-	got, err := e.filterRows(tbl, nil)
+	got, err := filterRows(tbl, nil)
 	if err != nil || got != nil {
 		t.Fatalf("no filters: %v, %v", got, err)
 	}
 	// Unknown column errors.
-	if _, err := e.filterRows(tbl, []Filter{{Column: "nope", Value: "1"}}); err == nil {
+	if _, err := filterRows(tbl, []Filter{{Column: "nope", Value: "1"}}); err == nil {
 		t.Fatal("unknown filter column accepted")
 	}
 }

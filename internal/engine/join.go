@@ -1,11 +1,5 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/table"
-)
-
 // SelectJoinQuery is the Section 5 "single predicate with join" extension:
 //
 //	SELECT * FROM T WHERE udf(arg) = 1 ... JOIN T2 ON T.LeftKey = T2.RightKey
@@ -22,18 +16,4 @@ type SelectJoinQuery struct {
 	JoinTable string
 	LeftKey   string
 	RightKey  string
-}
-
-// JoinMultiplicities is a helper exposing the per-key match counts of a
-// join table (used by examples and tests).
-func JoinMultiplicities(joinTbl *table.Table, key string) (map[string]int, error) {
-	col := joinTbl.ColumnByName(key)
-	if col == nil {
-		return nil, fmt.Errorf("engine: table %q has no column %q", joinTbl.Name(), key)
-	}
-	mult := make(map[string]int)
-	for i := 0; i < joinTbl.NumRows(); i++ {
-		mult[col.StringAt(i)]++
-	}
-	return mult, nil
 }

@@ -14,14 +14,13 @@ import (
 
 // Physical-operator state and the blocking operator bodies. The planner
 // (planner.go + internal/plan) shapes every query into a chain of physical
-// operators; the batch pipeline (batch.go) compiles that chain into pull
-// iterators, running each blocking body below during its stage's Open —
-// leaf-first, each operator reading and extending the shared pipeline
-// state. The operator bodies are the former executeExact / executeApprox /
-// executeTwoPred / ExecuteSelectJoin code paths, extracted statement-for-
-// statement so the determinism contract is preserved bit-for-bit: RNG
-// splits happen in the same order, meters charge the same rows, and Stats
-// are assembled with the same formulas.
+// operators; the pipeline driver (batch.go) runs each blocking body below
+// as one stage, leaf-first, each operator reading and extending the shared
+// pipeline state. The operator bodies are the former executeExact /
+// executeApprox / executeTwoPred / ExecuteSelectJoin code paths, extracted
+// statement-for-statement so the determinism contract is preserved
+// bit-for-bit: RNG splits happen in the same order and meters charge the
+// same rows. Every shape's Stats come from one assembler (stats).
 
 // resolvedPred is one expensive predicate bound to the engine: its fault
 // box, its failure-telemetry sink, its metered (resilient, usually
@@ -40,6 +39,9 @@ type pipeState struct {
 	join *SelectJoinQuery
 	tbl  *table.Table
 	cost core.CostModel
+	// filters are the query's cheap filters compiled against tbl; the scan
+	// applies them inline.
+	filters []func(int) bool
 	// preds holds the resolved predicates, first predicate first.
 	preds []resolvedPred
 	// epoch is the invalidation epoch captured before any evaluation (see
@@ -51,7 +53,7 @@ type pipeState struct {
 	rng *stats.RNG
 
 	// Products of the operators, in pipeline order.
-	subset      []int             // op filter
+	subset      []int             // the filtered scan, drained (nil: every row)
 	groups      []core.Group      // op group-resolve (or join-group)
 	chosen      string            // op group-resolve
 	labeled     map[int]bool      // op group-resolve (discovery/virtual labels)
@@ -77,13 +79,32 @@ type pipeState struct {
 	analyze bool
 }
 
+// stats assembles the Stats every result shape shares: charged calls
+// summed over the predicates' meters (so cross-query cache hits are not
+// re-charged), cost retrievals·o_r + Σ calls_i·o_e,i with each predicate
+// billed at its own o_e, and summed cache traffic. Callers fill in the
+// shape-specific fields.
+func (st *pipeState) stats(retrievals int) Stats {
+	s := Stats{Retrievals: retrievals}
+	evalCost := 0.0
+	for _, p := range st.preds {
+		calls := p.meter.Calls()
+		s.Evaluations += calls
+		evalCost += float64(calls) * p.cost
+		s.CacheHits += p.meter.CacheHits()
+		s.CacheMisses += p.meter.CacheMisses()
+	}
+	s.Cost = float64(retrievals)*st.cost.Retrieve + evalCost
+	return s
+}
+
 // predTotals is a snapshot of the statement-wide deterministic counters:
 // charged UDF calls and cache traffic summed over the predicates' meters,
-// failure/retry/denial totals summed over their sinks. The batch executor
-// diffs two snapshots to attribute work to one operator. Operators run
-// sequentially (parallelism lives inside an operator), so the deltas are
-// exact and — because every underlying counter is deterministic at any
-// parallelism — bit-identical at any parallelism too.
+// failure/retry/denial totals summed over their sinks. The pipeline driver
+// diffs two snapshots (actual) to attribute work to one operator.
+// Operators run sequentially (parallelism lives inside an operator), so
+// the deltas are exact and — because every underlying counter is
+// deterministic at any parallelism — bit-identical at any parallelism too.
 type predTotals struct {
 	calls, hits, misses, retries, failed, denied int
 }
@@ -102,11 +123,28 @@ func (st *pipeState) predTotals() predTotals {
 	return t
 }
 
+// actual is an operator's EXPLAIN ANALYZE record: rows out plus the
+// counter movement since the before snapshot.
+func (st *pipeState) actual(before predTotals, rows int, elapsedNS int64) *plan.Actual {
+	after := st.predTotals()
+	return &plan.Actual{
+		Rows:        rows,
+		Calls:       after.calls - before.calls,
+		CacheHits:   after.hits - before.hits,
+		CacheMisses: after.misses - before.misses,
+		Retries:     after.retries - before.retries,
+		Denied:      after.denied - before.denied,
+		Failed:      after.failed - before.failed,
+		ElapsedNS:   elapsedNS,
+	}
+}
+
 // bindStatement resolves every name a statement references — the base
 // table, the join table and its keys, each predicate's UDF and argument
-// column, and a pinned grouping column — into the pipeline state. Both
-// execution and EXPLAIN planning bind through here, so the two paths
-// accept and reject exactly the same statements.
+// column, the cheap filters' columns, a pinned grouping column and the
+// projection — into the pipeline state. Both execution and EXPLAIN
+// planning bind through here, so the two paths accept and reject exactly
+// the same statements.
 func (e *Engine) bindStatement(q Query, join *SelectJoinQuery) (*pipeState, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
@@ -135,6 +173,9 @@ func (e *Engine) bindStatement(q Query, join *SelectJoinQuery) (*pipeState, erro
 	// shapes ignore GroupOn), so only those reject a bad name.
 	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn && tbl.ColumnByName(q.GroupOn) == nil {
 		return nil, fmt.Errorf("engine: table %q has no column %q to group on", q.Table, q.GroupOn)
+	}
+	if st.filters, err = compileFilters(tbl, q.Filters); err != nil {
+		return nil, err
 	}
 	if _, err := e.projection(tbl, q.Columns); err != nil {
 		return nil, err
@@ -199,7 +240,7 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 }
 
 // fillActualRows resolves the "rows out" (and groups, where meaningful) of
-// an operator from the pipeline products it just wrote.
+// a blocking stage from the pipeline products it just wrote.
 func (st *pipeState) fillActualRows(op plan.Op, a *plan.Actual) {
 	groupRows := func() int {
 		n := 0
@@ -209,14 +250,6 @@ func (st *pipeState) fillActualRows(op plan.Op, a *plan.Actual) {
 		return n
 	}
 	switch op {
-	case plan.OpScan:
-		a.Rows = st.tbl.NumRows()
-	case plan.OpFilter:
-		if st.subset != nil {
-			a.Rows = len(st.subset)
-		} else {
-			a.Rows = st.tbl.NumRows()
-		}
 	case plan.OpGroupResolve, plan.OpJoinGroup:
 		a.Rows = groupRows()
 		a.Groups = len(st.groups)
@@ -228,7 +261,7 @@ func (st *pipeState) fillActualRows(op plan.Op, a *plan.Actual) {
 		}
 	case plan.OpProbEval:
 		a.Rows = len(st.exec.Output)
-	case plan.OpMerge, plan.OpExactEval, plan.OpConjExec, plan.OpConjWaves:
+	case plan.OpMerge, plan.OpConjExec:
 		if st.res != nil {
 			a.Rows = len(st.res.Rows)
 		}
@@ -381,26 +414,14 @@ func (e *Engine) opProbEval(ctx context.Context, st *pipeState) error {
 }
 
 // opMerge sorts the output, persists what the query learned, and assembles
-// the result statistics for sampler-based pipelines. (Conjunction
-// operators are terminal and assemble their own stats.)
+// the result statistics for sampler-based pipelines. (The §5 conj-exec
+// stage and the wave terminal assemble their own.)
 func (e *Engine) opMerge(st *pipeState) error {
 	sort.Ints(st.exec.Output)
 	e.persistQueryLearnings(st.sampler, st.q, st.cost, st.chosen, st.preds[0].fault, st.epoch)
-	meter := st.preds[0].meter
 	sampled := st.sampler.TotalSampled()
-	retrievals := sampled + st.exec.Retrieved
-	st.res = &Result{
-		Rows: st.exec.Output,
-		Stats: Stats{
-			Evaluations:         meter.Calls(),
-			Retrievals:          retrievals,
-			Cost:                float64(meter.Calls())*st.cost.Evaluate + float64(retrievals)*st.cost.Retrieve,
-			ChosenColumn:        st.chosen,
-			Sampled:             sampled,
-			AchievedRecallBound: st.achieved,
-			CacheHits:           meter.CacheHits(),
-			CacheMisses:         meter.CacheMisses(),
-		},
-	}
+	s := st.stats(sampled + st.exec.Retrieved)
+	s.ChosenColumn, s.Sampled, s.AchievedRecallBound = st.chosen, sampled, st.achieved
+	st.res = &Result{Rows: st.exec.Output, Stats: s}
 	return nil
 }

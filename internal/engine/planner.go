@@ -10,8 +10,8 @@ import (
 // The planner layer: queries are lowered into plan.Spec (the query plus
 // everything only the engine knows — row counts, the cost model,
 // per-predicate costs, any catalog-memoized column choice), shaped into a
-// physical operator tree by internal/plan, and executed uniformly by the
-// operators in operators.go. The former dispatch branches (executeExact /
+// physical operator chain by internal/plan, and executed uniformly by the
+// pipeline driver (batch.go) over the operators in operators.go. The former dispatch branches (executeExact /
 // executeApprox / executeTwoPred / the join path) are now plan shapes.
 
 // buildSpec lowers a bound statement into the planner's spec. Everything

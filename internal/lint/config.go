@@ -31,7 +31,7 @@ package lint
 //	atomicwrite  internal/catalog, the only package that owns durable
 //	             files.
 //	batchalias   internal/engine, the only package that produces or
-//	             consumes Volcano batches (the reuse contract in
+//	             consumes row batches (the reuse contract in
 //	             internal/engine/batch.go).
 //	spanbalance  every package that opens obs spans on the query path.
 //	             Excluded: internal/obs itself — the package that OWNS

@@ -72,7 +72,7 @@ func mentionsNextCall(body *ast.BlockStmt) bool {
 // result is a pointer to a Batch-shaped struct (named Batch, with a
 // Rows or Sel slice field). Matching on shape instead of the concrete
 // engine type keeps the analyzer exercisable from testdata and immune
-// to interface indirection (BatchOperator vs concrete op).
+// to interface indirection.
 func isBatchNextCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Next" {
